@@ -40,8 +40,6 @@ from .gate import (
     BranchParams,
     GateParams,
     gate_forward,
-    gate_global_only,
-    gate_local_only,
     global_branch_forward,
     init_gate_params,
     inner_width,

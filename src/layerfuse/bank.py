@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fusion import BaselineSystem, FusionSystem, LayerPair
+from .gate import BranchParams, GateParams
+from .tensor import Tensor, parameter
+
 MAGIC = b"DLFB"
 BANK_VERSION = 1
 PARAMS_FORMAT = "layerfuse-params"
@@ -195,144 +199,89 @@ def read_bank(path):
         raise BankFormatError(f"{path}: malformed manifest ({err})") from err
 
 
-def _branch_doc(branch):
-    return {
-        "conv1": {"kernel": branch.conv1_kernel.data.tolist(), "bias": branch.conv1_bias.data.tolist()},
-        "bn1": _bn_doc(branch.bn1),
-        "conv2": {"kernel": branch.conv2_kernel.data.tolist(), "bias": branch.conv2_bias.data.tolist()},
-        "bn2": _bn_doc(branch.bn2),
-    }
-
-
-def _bn_doc(state):
-    return {
-        "gamma": state.gamma.data.tolist(),
-        "beta": state.beta.data.tolist(),
-        "running_mean": state.running_mean.tolist(),
-        "running_var": state.running_var.tolist(),
-        "eps": state.eps,
-        "momentum": state.momentum,
-    }
+def _nest(items):
+    """Nested JSON objects from (dotted name, value) pairs; arrays become lists."""
+    root = {}
+    for dotted, value in items:
+        *parents, leaf = dotted.split(".")
+        node = root
+        for key in parents:
+            node = node.setdefault(key, {})
+        if isinstance(value, Tensor):
+            value = value.data
+        node[leaf] = value.tolist() if isinstance(value, np.ndarray) else value
+    return root
 
 
 def save_params(system, head, path):
     """Write a system plus classifier head as deterministic JSON.
 
-    Floats are rendered with full shortest-roundtrip precision, so reloading
-    reproduces every value bit-exactly.
+    Blocks follow the model's dotted parameter names: gate tensor
+    ``global.bn1.gamma`` is stored at ``gate.global.bn1.gamma``.  Floats are
+    rendered with full shortest-roundtrip precision, so reloading reproduces
+    every value bit-exactly; a non-finite value is an error.
     """
-    from .fusion import BaselineSystem
-
-    if isinstance(system, BaselineSystem):
-        system_doc = {"kind": "baseline", "upper": system.upper}
-        gate_doc = None
-    else:
-        system_doc = {
-            "kind": "fusion",
-            "lower": system.pair.lower,
-            "upper": system.pair.upper,
-            "variant": system.variant,
-            "gate_mode": system.mode,
-            "channels": system.params.channels,
-            "reduction": system.params.reduction,
-        }
-        gate_doc = {
-            "global": _branch_doc(system.params.global_branch),
-            "local": _branch_doc(system.params.local_branch),
-        }
     doc = {
         "format": PARAMS_FORMAT,
         "version": PARAMS_VERSION,
-        "system": system_doc,
-        "gate": gate_doc,
-        "head": {"weight": head.weight.data.tolist(), "bias": head.bias.data.tolist()},
+        "system": system.describe(),
+        "gate": _nest(system.state()) or None,
+        **_nest(head.parameters().items()),
     }
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=1).encode("utf-8"))
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as err:
+        raise ValueError(f"{path}: refusing to write non-finite parameters ({err})") from err
+    _atomic_write(path, text.encode("utf-8"))
 
 
-def _require(doc, *path):
-    node = doc
-    walked = []
-    for key in path:
+def _lookup(doc, dotted):
+    """The value at a dotted path such as ``gate.local.bn1.eps``."""
+    node, walked = doc, []
+    for key in dotted.split("."):
         walked.append(key)
-        if not isinstance(node, dict) or key not in node or node[key] is None:
+        if not isinstance(node, dict) or node.get(key) is None:
             raise ParamsFormatError(f"parameter file missing block {'.'.join(walked)}")
         node = node[key]
     return node
 
 
-def _load_bn(doc, *path):
-    from .tensor import BatchNormState
-
-    block = _require(doc, *path)
-    for key in ("gamma", "beta", "running_mean", "running_var", "eps", "momentum"):
-        if key not in block:
-            raise ParamsFormatError(f"parameter file missing block {'.'.join(path)}.{key}")
-    return BatchNormState.from_arrays(
-        gamma=block["gamma"],
-        beta=block["beta"],
-        running_mean=block["running_mean"],
-        running_var=block["running_var"],
-        eps=block["eps"],
-        momentum=block["momentum"],
-    )
-
-
-def _load_branch(doc, name):
-    from .gate import BranchParams
-    from .tensor import parameter
-
-    return BranchParams(
-        conv1_kernel=parameter(_require(doc, "gate", name, "conv1", "kernel")),
-        conv1_bias=parameter(_require(doc, "gate", name, "conv1", "bias")),
-        bn1=_load_bn(doc, "gate", name, "bn1"),
-        conv2_kernel=parameter(_require(doc, "gate", name, "conv2", "kernel")),
-        conv2_bias=parameter(_require(doc, "gate", name, "conv2", "bias")),
-        bn2=_load_bn(doc, "gate", name, "bn2"),
-    )
-
-
 def load_params(path):
     """Load (system, head) from a parameter file, validating the schema."""
-    from .fusion import BaselineSystem, FusionSystem, LayerPair
-    from .gate import GateParams
-    from .tensor import parameter
-    from .training import ClassifierHead
+    from .training import ClassifierHead  # training imports this module for DataError
 
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
         except json.JSONDecodeError as err:
             raise ParamsFormatError(f"{path}: not valid JSON ({err})") from err
-    if doc.get("format") != PARAMS_FORMAT:
-        raise ParamsFormatError(f"{path}: unknown format {doc.get('format')!r}")
-    if doc.get("version") != PARAMS_VERSION:
-        raise ParamsFormatError(f"{path}: unsupported schema version {doc.get('version')!r}")
-    system_doc = _require(doc, "system")
-    head_doc = _require(doc, "head")
-    head = ClassifierHead(
-        weight=parameter(_require(doc, "head", "weight")),
-        bias=parameter(_require(doc, "head", "bias")),
-    )
-    kind = system_doc.get("kind")
-    if kind == "baseline":
-        return BaselineSystem(upper=int(system_doc["upper"])), head
-    if kind != "fusion":
-        raise ParamsFormatError(f"{path}: unknown system kind {kind!r}")
-    params = GateParams(
-        channels=int(system_doc["channels"]),
-        reduction=int(system_doc["reduction"]),
-        global_branch=_load_branch(doc, "global"),
-        local_branch=_load_branch(doc, "local"),
-    )
+
+    def get(dotted):
+        return _lookup(doc, dotted)
+
     try:
-        params.validate()
-    except ValueError as err:
+        if get("format") != PARAMS_FORMAT:
+            raise ParamsFormatError(f"unknown format {get('format')!r}")
+        if get("version") != PARAMS_VERSION:
+            raise ParamsFormatError(f"unsupported schema version {get('version')!r}")
+        head = ClassifierHead(weight=parameter(get("head.weight")), bias=parameter(get("head.bias")))
+        kind = get("system.kind")
+        if kind == "baseline":
+            return BaselineSystem(upper=int(get("system.upper"))), head
+        if kind != "fusion":
+            raise ParamsFormatError(f"unknown system kind {kind!r}")
+        params = GateParams(
+            channels=int(get("system.channels")),
+            reduction=int(get("system.reduction")),
+            global_branch=BranchParams.from_state(lambda name: get(f"gate.global.{name}")),
+            local_branch=BranchParams.from_state(lambda name: get(f"gate.local.{name}")),
+        ).validate()
+        system = FusionSystem(
+            pair=LayerPair(int(get("system.lower")), int(get("system.upper"))),
+            params=params,
+            variant=get("system.variant"),
+            mode=get("system.gate_mode"),
+        )
+        return system, head
+    except (TypeError, ValueError) as err:
         raise ParamsFormatError(f"{path}: {err}") from err
-    system = FusionSystem(
-        pair=LayerPair(int(system_doc["lower"]), int(system_doc["upper"])),
-        params=params,
-        variant=system_doc.get("variant", "full"),
-        mode=system_doc.get("gate_mode", "sigmoid"),
-    )
-    return system, head

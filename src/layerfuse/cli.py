@@ -11,6 +11,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -26,6 +27,7 @@ from .training import (
     full_scale_config,
     init_head,
     layer_sweep,
+    sweep_row,
     train,
 )
 
@@ -66,17 +68,17 @@ def _path_entries(paths):
     return entries
 
 
-def _write_manifest(args, subcommand, config, inputs, outputs, started):
+def _write_manifest(args, argv, config, inputs, outputs, started):
     if args.manifest:
         target = Path(args.manifest)
     elif outputs:
         first = Path(outputs[0])
         target = first.with_name(first.name + ".manifest.json")
     else:
-        target = Path(f"{subcommand}.manifest.json")
+        target = Path(f"{args.command}.manifest.json")
     doc = {
-        "subcommand": subcommand,
-        "argv": list(args.raw_argv),
+        "subcommand": args.command,
+        "argv": argv,
         "config": config,
         "seeds": config.get("seed", config.get("seeds")),
         "inputs": _path_entries(inputs),
@@ -95,16 +97,9 @@ def _train_config(args):
     if getattr(args, "train_config", None):
         doc.update(json.loads(Path(args.train_config).read_text(encoding="utf-8")))
     cfg = TrainConfig.from_dict(doc)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.epochs is not None:
-        cfg.epochs = args.epochs
-    if args.batch_size is not None:
-        cfg.batch_size = args.batch_size
-    if args.learning_rate is not None:
-        cfg.learning_rate = args.learning_rate
-    if args.weight_decay is not None:
-        cfg.weight_decay = args.weight_decay
+    for name in ("seed", "epochs", "batch_size", "learning_rate", "weight_decay"):
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
     return cfg
 
 
@@ -122,7 +117,6 @@ def _add_train_flags(parser):
 
 
 def _cmd_gen_task(args):
-    started = time.monotonic()
     if args.spec:
         spec_doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         spec = SyntheticTaskSpec.from_dict(spec_doc)
@@ -135,16 +129,11 @@ def _cmd_gen_task(args):
     write_bank(target, args.out_tgt)
     print(f"wrote {args.out_src} and {args.out_tgt}: "
           f"{source.n_layers} layers, shape {source.shape}")
-    _write_manifest(
-        args, "gen-task", {"spec": spec.to_dict(), "seed": spec.seed},
-        inputs=[args.spec] if args.spec else [],
-        outputs=[args.out_src, args.out_tgt], started=started,
-    )
-    return 0
+    config = {"spec": spec.to_dict(), "seed": spec.seed}
+    return config, [args.spec] if args.spec else [], [args.out_src, args.out_tgt], 0
 
 
 def _cmd_inspect_bank(args):
-    started = time.monotonic()
     bank = read_bank(args.bank)
     sentences, tokens, channels = bank.shape
     print(f"bank {args.bank}")
@@ -156,13 +145,10 @@ def _cmd_inspect_bank(args):
     print("  languages: " + ", ".join(languages))
     counts = {int(label): int((bank.labels == label).sum()) for label in sorted(set(bank.labels))}
     print(f"  labels: {counts}")
-    _write_manifest(args, "inspect-bank", {"bank": str(args.bank)},
-                    inputs=[args.bank], outputs=[], started=started)
-    return 0
+    return {"bank": str(args.bank)}, [args.bank], [], 0
 
 
 def _cmd_fuse(args):
-    started = time.monotonic()
     bank = read_bank(args.bank)
     system, _ = load_params(args.params)
     rows = list(range(bank.shape[0]))
@@ -175,15 +161,11 @@ def _cmd_fuse(args):
     )
     write_bank(out_bank, args.out)
     print(f"wrote fused bank {args.out} ({system.config_id()})")
-    _write_manifest(
-        args, "fuse", {"system": system.config_id(), "bank": str(args.bank)},
-        inputs=[args.bank, args.params], outputs=[args.out], started=started,
-    )
-    return 0
+    config = {"system": system.config_id(), "bank": str(args.bank)}
+    return config, [args.bank, args.params], [args.out], 0
 
 
-def _build_system(args, channels, n_layers, seed):
-    upper = args.upper if args.upper is not None else n_layers
+def _build_system(args, channels, upper, seed):
     if args.baseline:
         return BaselineSystem(upper=upper)
     return build_fusion_system(
@@ -193,22 +175,20 @@ def _build_system(args, channels, n_layers, seed):
 
 
 def _cmd_train(args):
-    started = time.monotonic()
     source = read_bank(args.src)
     target = read_bank(args.tgt) if args.tgt else None
     cfg = _train_config(args)
-    system = _build_system(args, source.shape[2], source.n_layers, cfg.seed)
+    upper = args.upper if args.upper is not None else source.n_layers
+    system = _build_system(args, source.shape[2], upper, cfg.seed)
     head = init_head(source.shape[2], source.num_classes, seed=cfg.seed)
     curve = train(system, head, source, cfg)
     if curve:
         print(f"train loss: first={curve[0]:.6f} last={curve[-1]:.6f}")
     on_source = evaluate(system, head, source, "test")
     print(f"source test: acc={on_source.accuracy:.4f} f1={on_source.micro_f1:.4f}")
-    results = {"source": {"accuracy": on_source.accuracy, "micro_f1": on_source.micro_f1}}
     if target is not None:
         on_target = evaluate(system, head, target, "test")
         print(f"target test: acc={on_target.accuracy:.4f} f1={on_target.micro_f1:.4f}")
-        results["target"] = {"accuracy": on_target.accuracy, "micro_f1": on_target.micro_f1}
     save_params(system, head, args.out)
     config = {
         "system": system.config_id(),
@@ -217,13 +197,10 @@ def _cmd_train(args):
         "train": cfg.__dict__,
         "seed": cfg.seed,
     }
-    inputs = [args.src] + ([args.tgt] if args.tgt else [])
-    _write_manifest(args, "train", config, inputs=inputs, outputs=[args.out], started=started)
-    return 0
+    return config, [args.src] + ([args.tgt] if args.tgt else []), [args.out], 0
 
 
 def _cmd_sweep(args):
-    started = time.monotonic()
     source = read_bank(args.src)
     target = read_bank(args.tgt)
     cfg = _train_config(args)
@@ -247,37 +224,28 @@ def _cmd_sweep(args):
         "train": cfg.__dict__,
         "seed": cfg.seed,
     }
-    _write_manifest(args, "sweep", config, inputs=[args.src, args.tgt],
-                    outputs=outputs, started=started)
-    return 0
+    return config, [args.src, args.tgt], outputs, 0
 
 
 def _cmd_ablate(args):
-    started = time.monotonic()
     source = read_bank(args.src)
     target = read_bank(args.tgt)
     upper = args.upper if args.upper is not None else source.n_layers
+    cfg = _train_config(args)
     lines = ["variant,seed,source_accuracy,source_f1,target_accuracy,target_f1"]
     means = {}
     for variant in VARIANTS:
-        scores = []
-        for seed in args.seeds:
-            cfg = _train_config(args)
-            cfg.seed = seed
-            system = build_fusion_system(
-                LayerPair(args.lower, upper), source.shape[2],
-                variant=variant, mode=args.gate_mode, seed=seed,
-            )
-            head = init_head(source.shape[2], source.num_classes, seed=seed)
-            train(system, head, source, cfg)
-            on_source = evaluate(system, head, source, "test")
-            on_target = evaluate(system, head, target, "test")
-            scores.append(on_target.accuracy)
+        rows = [
+            sweep_row(source, target, args.lower, upper, variant, args.gate_mode,
+                      replace(cfg, seed=seed))
+            for seed in args.seeds
+        ]
+        for seed, row in zip(args.seeds, rows):
             lines.append(
-                f"{variant},{seed},{on_source.accuracy!r},{on_source.micro_f1!r},"
-                f"{on_target.accuracy!r},{on_target.micro_f1!r}"
+                f"{variant},{seed},{row.source_accuracy!r},{row.source_f1!r},"
+                f"{row.target_accuracy!r},{row.target_f1!r}"
             )
-        means[variant] = sum(scores) / len(scores)
+        means[variant] = sum(row.target_accuracy for row in rows) / len(rows)
     for variant in VARIANTS:
         lines.append(f"{variant},mean,,,{means[variant]!r},")
     text = "\n".join(lines) + "\n"
@@ -289,28 +257,20 @@ def _cmd_ablate(args):
         "upper": upper,
         "gate_mode": args.gate_mode,
         "seeds": list(args.seeds),
-        "train": _train_config(args).__dict__,
+        "train": cfg.__dict__,
     }
-    _write_manifest(args, "ablate", config, inputs=[args.src, args.tgt],
-                    outputs=[args.report], started=started)
-    return 0
+    return config, [args.src, args.tgt], [args.report], 0
 
 
 def _cmd_cossim(args):
-    started = time.monotonic()
     source = read_bank(args.src)
     targets = [read_bank(path) for path in args.tgt]
     inputs = [args.src, *args.tgt]
     if args.params:
         system, _ = load_params(args.params)
         inputs.append(args.params)
-    elif args.baseline:
-        system = BaselineSystem(upper=source.n_layers)
     else:
-        system = build_fusion_system(
-            LayerPair(args.lower, source.n_layers), source.shape[2],
-            variant=args.variant, mode=args.gate_mode, seed=args.seed,
-        )
+        system = _build_system(args, source.shape[2], source.n_layers, args.seed)
     report = avg_cross_lingual_similarity(
         system, source, targets, pairs=args.pairs, split=args.split
     )
@@ -328,12 +288,10 @@ def _cmd_cossim(args):
         "format": args.format,
         "seed": args.seed,
     }
-    _write_manifest(args, "cossim", config, inputs=inputs, outputs=outputs, started=started)
-    return 0
+    return config, inputs, outputs, 0
 
 
 def _cmd_gradcheck(args):
-    started = time.monotonic()
     shape = (args.batch, args.tokens, args.channels)
     cases = [("full", "sigmoid"), ("full", "literal"), ("global", "sigmoid"), ("local", "sigmoid")]
     failures = 0
@@ -348,6 +306,10 @@ def _cmd_gradcheck(args):
         if not report.passed:
             failures += 1
             print(report.format_table())
+    if failures:
+        print(f"gradcheck: {failures} of {len(cases)} checks failed")
+    else:
+        print(f"gradcheck: all {len(cases)} checks passed (rtol {args.rtol:g})")
     config = {
         "seed": args.seed,
         "eps": args.eps,
@@ -355,12 +317,7 @@ def _cmd_gradcheck(args):
         "shape": list(shape),
         "classes": args.classes,
     }
-    _write_manifest(args, "gradcheck", config, inputs=[], outputs=[], started=started)
-    if failures:
-        print(f"gradcheck: {failures} of {len(cases)} checks failed")
-        return 1
-    print(f"gradcheck: all {len(cases)} checks passed (rtol {args.rtol:g})")
-    return 0
+    return config, [], [], 1 if failures else 0
 
 
 def build_parser():
@@ -473,12 +430,14 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.raw_argv = argv
+    started = time.monotonic()
     try:
-        return args.func(args)
+        config, inputs, outputs, code = args.func(args)
+        _write_manifest(args, argv, config, inputs, outputs, started)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -4,25 +4,12 @@ from dataclasses import dataclass
 
 from .gate import (
     GateParams,
-    VARIANTS,
     check_gate_mode,
+    check_variant,
     gate_forward,
-    gate_global_only,
-    gate_local_only,
     init_gate_params,
 )
 from .tensor import DimensionError, Tensor, broadcast_add, elementwise_mul, scale, shift, sub
-
-_GATE_FUNCTIONS = {
-    "full": gate_forward,
-    "global": gate_global_only,
-    "local": gate_local_only,
-}
-
-
-def check_variant(variant):
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -47,13 +34,12 @@ def fuse_layers(l1, l2, params, mode="sigmoid", variant="full"):
     the sigmoid map in "sigmoid" mode, or the mean scaled by the sigmoid map
     in "literal" mode.
     """
-    check_variant(variant)
     if l1.data.shape != l2.data.shape:
         raise DimensionError(
             f"fuse_layers: layer shapes differ, {l1.data.shape} vs {l2.data.shape}"
         )
     mean = scale(broadcast_add(l1, l2), 0.5)
-    weight, _ = _GATE_FUNCTIONS[variant](mean, params, mode)
+    weight = gate_forward(mean, params, mode, variant)
     # Evaluated as mean + (l1 - l2) * (g - 1/2): equal inputs and a gate of
     # exactly one half then reproduce l1 and the arithmetic mean bit-exactly.
     fused = broadcast_add(mean, elementwise_mul(sub(l1, l2), shift(weight, -0.5)))
@@ -69,8 +55,27 @@ class FusionSystem:
     variant: str = "full"
     mode: str = "sigmoid"
 
+    def __post_init__(self):
+        check_variant(self.variant)
+        check_gate_mode(self.mode)
+
     def config_id(self):
         return f"D_{self.pair.lower}"
+
+    def describe(self):
+        """The ``system`` block of a parameter file."""
+        return {
+            "kind": "fusion",
+            "lower": self.pair.lower,
+            "upper": self.pair.upper,
+            "variant": self.variant,
+            "gate_mode": self.mode,
+            "channels": self.params.channels,
+            "reduction": self.params.reduction,
+        }
+
+    def state(self):
+        return self.params.state()
 
     def set_training(self, training):
         self.params.set_training(training)
@@ -97,6 +102,12 @@ class BaselineSystem:
     def config_id(self):
         return "baseline"
 
+    def describe(self):
+        return {"kind": "baseline", "upper": self.upper}
+
+    def state(self):
+        return ()
+
     def set_training(self, training):
         pass
 
@@ -111,7 +122,5 @@ def build_fusion_system(
     pair, channels, variant="full", mode="sigmoid", seed=0, reduction=4, scheme="kaiming"
 ):
     """Deterministically assemble a FusionSystem for the given seed."""
-    check_variant(variant)
-    check_gate_mode(mode)
     params = init_gate_params(channels, reduction=reduction, scheme=scheme, seed=seed)
     return FusionSystem(pair=pair, params=params, variant=variant, mode=mode)

@@ -3,12 +3,13 @@
 The global branch pools tokens into a sentence summary before a bottleneck
 (conv -> norm -> relu -> conv -> norm); the local branch runs the same
 bottleneck per token.  Their broadcast sum feeds a sigmoid that yields a
-per-element mixing weight in (0, 1).  Two ablation variants rebuild the gate
-from two pooled branches or two per-token branches.
+per-element mixing weight in (0, 1); this is the MS-CAM block of Dai et al.,
+"Attentional Feature Fusion" (WACV 2021).  Two ablation variants rebuild the
+gate from two pooled branches or two per-token branches.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .seeding import STREAM_GATE, rng_stream
 from .tensor import (
@@ -25,13 +26,20 @@ from .tensor import (
 )
 
 GATE_MODES = ("sigmoid", "literal")
-VARIANTS = ("full", "global", "local")
+# Variant -> whether the (global, local) branch pools tokens.
+_POOLING = {"full": (True, False), "global": (True, True), "local": (False, False)}
+VARIANTS = tuple(_POOLING)
 INIT_SCHEMES = ("kaiming", "zero_gate")
 
 
 def check_gate_mode(mode):
     if mode not in GATE_MODES:
         raise ValueError(f"gate mode must be one of {GATE_MODES}, got {mode!r}")
+
+
+def check_variant(variant):
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 def inner_width(channels, reduction):
@@ -55,15 +63,32 @@ class BranchParams:
         self.bn1.mode = mode
         self.bn2.mode = mode
 
-    def named_tensors(self, prefix):
-        yield f"{prefix}.conv1.kernel", self.conv1_kernel
-        yield f"{prefix}.conv1.bias", self.conv1_bias
-        yield f"{prefix}.bn1.gamma", self.bn1.gamma
-        yield f"{prefix}.bn1.beta", self.bn1.beta
-        yield f"{prefix}.conv2.kernel", self.conv2_kernel
-        yield f"{prefix}.conv2.bias", self.conv2_bias
-        yield f"{prefix}.bn2.gamma", self.bn2.gamma
-        yield f"{prefix}.bn2.beta", self.bn2.beta
+    def state(self):
+        """Every stored value by dotted name, running statistics included.
+
+        Field ``conv1_kernel`` is named ``conv1.kernel``; a norm field ``bn1``
+        contributes ``bn1.gamma`` through ``bn1.momentum``.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, BatchNormState):
+                for name in BatchNormState.STATE:
+                    yield f"{f.name}.{name}", getattr(value, name)
+            else:
+                yield f.name.replace("_", "."), value
+
+    @classmethod
+    def from_state(cls, get):
+        """Rebuild a branch from ``get(dotted name)``; the inverse of ``state``."""
+        values = {}
+        for f in fields(cls):
+            if f.type is BatchNormState:
+                values[f.name] = BatchNormState.from_arrays(
+                    **{name: get(f"{f.name}.{name}") for name in BatchNormState.STATE}
+                )
+            else:
+                values[f.name] = parameter(get(f.name.replace("_", ".")))
+        return cls(**values)
 
 
 @dataclass
@@ -79,11 +104,15 @@ class GateParams:
         self.global_branch.set_training(training)
         self.local_branch.set_training(training)
 
+    def state(self):
+        """Every stored value of both branches by dotted name."""
+        for prefix, branch in (("global", self.global_branch), ("local", self.local_branch)):
+            for name, value in branch.state():
+                yield f"{prefix}.{name}", value
+
     def parameters(self):
-        named = {}
-        named.update(self.global_branch.named_tensors("global"))
-        named.update(self.local_branch.named_tensors("local"))
-        return named
+        """The trainable tensors of ``state``."""
+        return {name: value for name, value in self.state() if isinstance(value, Tensor)}
 
     def validate(self):
         inner = inner_width(self.channels, self.reduction)
@@ -144,48 +173,29 @@ def _bottleneck(w, branch, pool):
     return batch_norm(h, branch.bn2)
 
 
-def global_branch_forward(w, params):
-    """Sentence-level weight map of shape (batch, 1, channels)."""
-    return _bottleneck(w, params.global_branch, pool=True)
+def global_branch_forward(w, params, pool=True):
+    """Global-branch weight map: (batch, 1, channels) when it pools tokens."""
+    return _bottleneck(w, params.global_branch, pool)
 
 
-def local_branch_forward(w, params):
-    """Per-token weight map with the same shape as the input."""
-    return _bottleneck(w, params.local_branch, pool=False)
+def local_branch_forward(w, params, pool=False):
+    """Local-branch weight map: input-shaped unless it pools tokens."""
+    return _bottleneck(w, params.local_branch, pool)
 
 
-def _finish(w, pre, mode):
-    check_gate_mode(mode)
-    gate = sigmoid(pre)
-    if mode == "literal":
-        return elementwise_mul(w, gate), gate
-    return gate, gate
+def gate_forward(w, params, mode="sigmoid", variant="full"):
+    """Mixing weight from the sum of the two branches passed through a sigmoid.
 
-
-def gate_forward(w, params, mode="sigmoid"):
-    """Gate from the pooled branch plus the per-token branch.
-
-    Returns (output, gate): ``gate`` is the sigmoid map; ``output`` is the
-    input scaled by the gate in "literal" mode, or the gate itself in
-    "sigmoid" mode.
+    ``variant`` "full" pools tokens in the global branch only; the "global"
+    ablation pools in both branches, so the gate is token-constant, and the
+    "local" ablation pools in neither.  Returns the sigmoid map in "sigmoid"
+    mode, or the input scaled by it in "literal" mode.
     """
-    pre = broadcast_add(global_branch_forward(w, params), local_branch_forward(w, params))
-    return _finish(w, pre, mode)
-
-
-def gate_global_only(w, params, mode="sigmoid"):
-    """Ablation: both branches pool tokens, so the gate is token-constant."""
-    pre = broadcast_add(
-        _bottleneck(w, params.global_branch, pool=True),
-        _bottleneck(w, params.local_branch, pool=True),
-    )
-    return _finish(w, pre, mode)
-
-
-def gate_local_only(w, params, mode="sigmoid"):
-    """Ablation: both branches keep per-token resolution."""
-    pre = broadcast_add(
-        _bottleneck(w, params.global_branch, pool=False),
-        _bottleneck(w, params.local_branch, pool=False),
-    )
-    return _finish(w, pre, mode)
+    check_gate_mode(mode)
+    check_variant(variant)
+    pool_global, pool_local = _POOLING[variant]
+    gate = sigmoid(broadcast_add(
+        global_branch_forward(w, params, pool_global),
+        local_branch_forward(w, params, pool_local),
+    ))
+    return elementwise_mul(w, gate) if mode == "literal" else gate

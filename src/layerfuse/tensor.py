@@ -77,6 +77,14 @@ def _accumulate(node, grad):
         node.grad = node.grad + grad
 
 
+def _node(data, parents, backward):
+    """Graph node over ``data``; ``backward(g)`` sends its gradient to ``parents``."""
+    node = Tensor(data)
+    node._parents = parents
+    node._backward = backward
+    return node
+
+
 def _topological_order(root):
     order = []
     visited = {id(root)}
@@ -132,8 +140,6 @@ def broadcast_add(a, b):
         raise DimensionError(
             f"broadcast_add: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
-    out = Tensor(a.data + b.data)
-    out._parents = (a, b)
 
     def _bw(g):
         for side in (a, b):
@@ -142,8 +148,7 @@ def broadcast_add(a, b):
             else:
                 _accumulate(side, g.sum(axis=1, keepdims=True))
 
-    out._backward = _bw
-    return out
+    return _node(a.data + b.data, (a, b), _bw)
 
 
 def elementwise_mul(a, b):
@@ -156,8 +161,6 @@ def elementwise_mul(a, b):
                 f"elementwise_mul: incompatible shapes {a.data.shape} and "
                 f"{b.data.shape}"
             )
-    out = Tensor(a.data * b.data)
-    out._parents = (a, b)
 
     def _bw(g):
         _accumulate(a, g * b.data)
@@ -166,8 +169,7 @@ def elementwise_mul(a, b):
             gb = gb.sum(axis=1, keepdims=True)
         _accumulate(b, gb)
 
-    out._backward = _bw
-    return out
+    return _node(a.data * b.data, (a, b), _bw)
 
 
 def sub(a, b):
@@ -177,54 +179,42 @@ def sub(a, b):
         raise DimensionError(
             f"sub: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
-    out = Tensor(a.data - b.data)
-    out._parents = (a, b)
 
     def _bw(g):
         _accumulate(a, g)
         _accumulate(b, -g)
 
-    out._backward = _bw
-    return out
+    return _node(a.data - b.data, (a, b), _bw)
 
 
 def scale(t, factor):
     """Multiply every entry by a constant."""
     factor = float(factor)
-    out = Tensor(t.data * factor)
-    out._parents = (t,)
 
     def _bw(g):
         _accumulate(t, g * factor)
 
-    out._backward = _bw
-    return out
+    return _node(t.data * factor, (t,), _bw)
 
 
 def shift(t, offset):
     """Add a constant to every entry."""
-    out = Tensor(t.data + float(offset))
-    out._parents = (t,)
 
     def _bw(g):
         _accumulate(t, g)
 
-    out._backward = _bw
-    return out
+    return _node(t.data + float(offset), (t,), _bw)
 
 
 def mean_pool_tokens(w):
     """Average over the token axis, keeping shape (batch, 1, channels)."""
     _require_rank3("mean_pool_tokens", w)
     tokens = w.data.shape[1]
-    out = Tensor(w.data.mean(axis=1, keepdims=True))
-    out._parents = (w,)
 
     def _bw(g):
         _accumulate(w, np.broadcast_to(g / tokens, w.data.shape).copy())
 
-    out._backward = _bw
-    return out
+    return _node(w.data.mean(axis=1, keepdims=True), (w,), _bw)
 
 
 def conv1x1(w, kernel, bias):
@@ -242,29 +232,23 @@ def conv1x1(w, kernel, bias):
             f"conv1x1: input has {w.data.shape[2]} channels but kernel expects "
             f"{kernel.data.shape[0]}"
         )
-    out = Tensor(w.data @ kernel.data + bias.data)
-    out._parents = (w, kernel, bias)
 
     def _bw(g):
         _accumulate(w, g @ kernel.data.T)
         _accumulate(kernel, np.tensordot(w.data, g, axes=((0, 1), (0, 1))))
         _accumulate(bias, g.sum(axis=(0, 1)))
 
-    out._backward = _bw
-    return out
+    return _node(w.data @ kernel.data + bias.data, (w, kernel, bias), _bw)
 
 
 def relu(t):
     """max(0, x); the subgradient at exactly zero is taken as zero."""
-    out = Tensor(np.maximum(t.data, 0.0))
-    out._parents = (t,)
     mask = t.data > 0.0
 
     def _bw(g):
         _accumulate(t, g * mask)
 
-    out._backward = _bw
-    return out
+    return _node(np.maximum(t.data, 0.0), (t,), _bw)
 
 
 def sigmoid(t):
@@ -276,26 +260,20 @@ def sigmoid(t):
     ex = np.exp(x[~pos])
     values[~pos] = ex / (1.0 + ex)
     np.clip(values, SIGMOID_FLOOR, SIGMOID_CEIL, out=values)
-    out = Tensor(values)
-    out._parents = (t,)
 
     def _bw(g):
         _accumulate(t, g * values * (1.0 - values))
 
-    out._backward = _bw
-    return out
+    return _node(values, (t,), _bw)
 
 
 def tensor_sum(t):
     """Sum of all entries as a scalar node."""
-    out = Tensor(np.asarray(t.data.sum()))
-    out._parents = (t,)
 
     def _bw(g):
         _accumulate(t, np.full(t.data.shape, float(g)))
 
-    out._backward = _bw
-    return out
+    return _node(np.asarray(t.data.sum()), (t,), _bw)
 
 
 class BatchNormState:
@@ -318,6 +296,9 @@ class BatchNormState:
         self.momentum = momentum
         self.mode = mode
         self._validate()
+
+    # Attributes that hold stored values; ``from_arrays`` takes them as keywords.
+    STATE = ("gamma", "beta", "running_mean", "running_var", "eps", "momentum")
 
     @classmethod
     def from_arrays(cls, gamma, beta, running_mean, running_var, eps, momentum):
@@ -394,8 +375,6 @@ def batch_norm(w, state):
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
         x_hat = (x - state.running_mean) * inv_std
-    out = Tensor(gamma.data * x_hat + beta.data)
-    out._parents = (w, gamma, beta)
 
     def _bw(g):
         _accumulate(gamma, (g * x_hat).sum(axis=(0, 1)))
@@ -408,5 +387,4 @@ def batch_norm(w, state):
             gw = g * (gamma.data * inv_std)
         _accumulate(w, gw)
 
-    out._backward = _bw
-    return out
+    return _node(gamma.data * x_hat + beta.data, (w, gamma, beta), _bw)

@@ -1,6 +1,7 @@
 """Classifier head, optimizer, training loop, and the layer sweep."""
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import numpy as np
 from .bank import DataError
 from .fusion import BaselineSystem, FusionSystem, LayerPair, build_fusion_system
 from .seeding import STREAM_BATCHES, STREAM_HEAD, rng_stream
-from .tensor import DimensionError, Tensor, _accumulate, backward, conv1x1, mean_pool_tokens, parameter
+from .tensor import DimensionError, Tensor, _accumulate, _node, backward, conv1x1, mean_pool_tokens, parameter
 
 
 @dataclass
@@ -97,8 +98,6 @@ def softmax_cross_entropy(logits, labels):
     shifted = flat - flat.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     rows = np.arange(count)
-    out = Tensor(np.asarray(-log_probs[rows, labels].mean()))
-    out._parents = (logits,)
     probs = np.exp(log_probs)
 
     def _bw(g):
@@ -107,8 +106,7 @@ def softmax_cross_entropy(logits, labels):
         grad *= float(g) / count
         _accumulate(logits, grad.reshape(data.shape))
 
-    out._backward = _bw
-    return out
+    return _node(np.asarray(-log_probs[rows, labels].mean()), (logits,), _bw)
 
 
 class AdamW:
@@ -151,27 +149,37 @@ def train(system, head, bank, cfg):
     """Minimize softmax cross-entropy on the bank's train split.
 
     Batches are reshuffled each epoch from a seed-derived stream, the last
-    partial batch is kept, and normalization runs in training mode.  A
-    split size of 1 modulo the batch size therefore fails on the pooled
-    branch (single-sample batch statistics are rejected by design).
-    Returns the per-epoch mean loss curve; parameters are updated in place.
+    partial batch is kept (a one-row tail joins the batch before it), and
+    normalization runs in training mode.  A non-finite batch loss stops the
+    run with an error naming the epoch and batch.  Returns the per-epoch mean
+    loss curve; parameters are updated in place.
     """
     train_rows = bank.split_indices("train")
-    if train_rows.size == 0:
-        raise DataError("bank has no sentences in the train split")
+    if train_rows.size < 2:
+        raise DataError(
+            f"bank has {train_rows.size} sentences in the train split; training needs at least 2"
+        )
     if isinstance(system, FusionSystem):
         bank.layer(system.pair.lower)
         bank.layer(system.pair.upper)
     params = {**system.parameters(), **head.parameters()}
     optimizer = AdamW(params, cfg)
+    starts = list(range(0, train_rows.size, cfg.batch_size))
+    if cfg.batch_size > 1 and train_rows.size - starts[-1] == 1:
+        starts.pop()  # training-mode normalization rejects a one-row batch
+    bounds = list(zip(starts, starts[1:] + [train_rows.size]))
     order = rng_stream(cfg.seed, STREAM_BATCHES)
     curve = []
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         permuted = train_rows[order.permutation(train_rows.size)]
         total = 0.0
-        for start in range(0, permuted.size, cfg.batch_size):
-            rows = permuted[start : start + cfg.batch_size]
+        for batch, (start, stop) in enumerate(bounds, 1):
+            rows = permuted[start:stop]
             loss = _batch_loss(system, head, bank, rows, training=True)
+            if not np.isfinite(loss.data):
+                raise ValueError(
+                    f"training diverged: loss {float(loss.data)} at epoch {epoch}, batch {batch}"
+                )
             backward(loss)
             optimizer.step()
             total += float(loss.data) * rows.size
@@ -238,8 +246,12 @@ class SweepReport:
     rows: list
 
 
-def _sweep_task(task):
-    source, target, lower, upper, variant, mode, cfg = task
+def sweep_row(source, target, lower, upper, variant, mode, cfg):
+    """Train on ``source`` and score the test splits of both banks.
+
+    The row is the baseline when ``lower`` is None, else the system fusing
+    ``lower`` with ``upper``.  System and head draw from ``cfg.seed``.
+    """
     channels = source.shape[2]
     if lower is None:
         system = BaselineSystem(upper=upper)
@@ -279,11 +291,13 @@ def layer_sweep(source, target, layers, cfg, variant="full", mode="sigmoid", upp
     for layer in wanted:
         if not 1 <= layer <= upper:
             raise DataError(f"sweep layer {layer} outside 1..{upper}")
-    tasks = [(source, target, None, upper, variant, mode, cfg)]
-    tasks += [(source, target, layer, upper, variant, mode, cfg) for layer in wanted]
+    run = functools.partial(
+        sweep_row, source, target, upper=upper, variant=variant, mode=mode, cfg=cfg
+    )
+    lowers = [None, *wanted]
     if jobs <= 1:
-        rows = [_sweep_task(task) for task in tasks]
+        rows = [run(lower) for lower in lowers]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
+            rows = list(pool.map(run, lowers))
     return SweepReport(upper=upper, variant=variant, mode=mode, seed=cfg.seed, rows=rows)

@@ -1,6 +1,7 @@
 """Bank and parameter persistence: roundtrips and structured failures."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from layerfuse import (
+    BaselineSystem,
     BankFormatError,
     BankTruncationError,
     DataError,
@@ -31,6 +33,50 @@ SMALL = SyntheticTaskSpec(
     train_sentences=12, test_sentences=6, channels=4, latent_dim=3,
     tokens=2, n_layers=2, invariance=(0.8, 0.2), seed=21,
 )
+
+
+# Every leaf of a version-1 parameter file of a fusion system, by dotted path.
+_BRANCH_LEAVES = [
+    "bn1.beta", "bn1.eps", "bn1.gamma", "bn1.momentum", "bn1.running_mean", "bn1.running_var",
+    "bn2.beta", "bn2.eps", "bn2.gamma", "bn2.momentum", "bn2.running_mean", "bn2.running_var",
+    "conv1.bias", "conv1.kernel", "conv2.bias", "conv2.kernel",
+]
+V1_FUSION_LEAVES = sorted(
+    ["format", "version", "head.bias", "head.weight",
+     "system.channels", "system.gate_mode", "system.kind", "system.lower",
+     "system.reduction", "system.upper", "system.variant"]
+    + [f"gate.global.{leaf}" for leaf in _BRANCH_LEAVES]
+    + [f"gate.local.{leaf}" for leaf in _BRANCH_LEAVES]
+)
+
+
+def _leaf_paths(node, prefix=""):
+    if isinstance(node, dict):
+        return [path for key, value in node.items() for path in _leaf_paths(value, f"{prefix}{key}.")]
+    return [prefix[:-1]]
+
+
+def _drop(dotted):
+    def mutate(doc):
+        *parents, leaf = dotted.split(".")
+        node = doc
+        for key in parents:
+            node = node[key]
+        del node[leaf]
+        return doc
+
+    return mutate
+
+
+# (dotted path the error must name, change that breaks a saved fusion file)
+MALFORMED_PARAMS = [
+    ("system.upper", _drop("system.upper")),
+    ("system.kind", _drop("system.kind")),
+    ("gate.local.conv2.bias", _drop("gate.local.conv2.bias")),
+    ("head.bias", _drop("head.bias")),
+    ("format", lambda doc: [doc]),
+    ("variant", lambda doc: {**doc, "system": {**doc["system"], "variant": "bogus"}}),
+]
 
 
 @pytest.fixture(scope="module")
@@ -206,9 +252,45 @@ class TestParamsRoundtrip:
         save_params(system, head, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_baseline_roundtrip(self, tmp_path):
-        from layerfuse import BaselineSystem
+    @pytest.mark.parametrize("variant", ["full", "global", "local"])
+    @pytest.mark.parametrize("mode", ["sigmoid", "literal"])
+    def test_resave_byte_identical(self, tmp_path, variant, mode):
+        system = build_fusion_system(LayerPair(1, 2), 8, variant=variant, mode=mode, seed=5)
+        x = RNG.normal(size=(4, 3, 8))
+        system.forward(Tensor(x), Tensor(x[:, ::-1].copy()), training=True)
+        assert np.any(system.params.local_branch.bn2.running_mean != 0.0)
+        head = init_head(8, 3, seed=5)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_params(system, head, a)
+        save_params(*load_params(a), b)
+        assert a.read_bytes() == b.read_bytes()
 
+    def test_v1_schema_leaf_paths(self, tmp_path):
+        path = tmp_path / "params.json"
+        save_params(build_fusion_system(LayerPair(1, 2), 8, seed=1), init_head(8, 3, seed=1), path)
+        assert sorted(_leaf_paths(json.loads(path.read_text()))) == V1_FUSION_LEAVES
+        save_params(BaselineSystem(upper=2), init_head(8, 3, seed=1), path)
+        doc = json.loads(path.read_text())
+        assert doc["gate"] is None
+        assert doc["system"] == {"kind": "baseline", "upper": 2}
+
+    @pytest.mark.parametrize("named, mutate", MALFORMED_PARAMS, ids=[n for n, _ in MALFORMED_PARAMS])
+    def test_malformed_file_names_file_and_path(self, tmp_path, named, mutate):
+        path = tmp_path / "params.json"
+        save_params(build_fusion_system(LayerPair(1, 2), 8, seed=1), init_head(8, 3, seed=1), path)
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        with pytest.raises(ParamsFormatError, match=f"{re.escape(str(path))}.*{re.escape(named)}"):
+            load_params(path)
+
+    def test_non_finite_value_not_written(self, tmp_path):
+        head = init_head(8, 3, seed=1)
+        head.bias.data[1] = np.nan
+        path = tmp_path / "params.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_params(BaselineSystem(upper=2), head, path)
+        assert not path.exists()
+
+    def test_baseline_roundtrip(self, tmp_path):
         path = tmp_path / "base.json"
         save_params(BaselineSystem(upper=6), init_head(8, 3, seed=2), path)
         system, head = load_params(path)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from layerfuse import read_bank
+from layerfuse import BaselineSystem, init_head, read_bank, save_params
 from layerfuse.cli import main
 from layerfuse.synthetic import SyntheticTaskSpec
 
@@ -242,3 +242,44 @@ def test_corrupt_bank_exit_one(workspace, tmp_path, capsys):
     rc = main(["inspect-bank", "--bank", str(bad), "--manifest", str(tmp_path / "m.json")])
     assert rc == 1
     assert "magic" in capsys.readouterr().err
+
+
+def test_fuse_malformed_params_exit_one(workspace, tmp_path, capsys):
+    params = tmp_path / "p.json"
+    save_params(BaselineSystem(upper=3), init_head(8, 4, seed=0), params)
+    doc = json.loads(params.read_text())
+    del doc["system"]["upper"]
+    params.write_text(json.dumps(doc))
+    rc = main(["fuse", "--bank", str(workspace / "src.bank"), "--params", str(params),
+               "--out", str(tmp_path / "f.bank")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(params) in err
+    assert not (tmp_path / "f.bank").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
+def test_train_divergence_exits_one_without_params(workspace, tmp_path, capsys):
+    params = tmp_path / "p.json"
+    rc = main(["train", "--src", str(workspace / "src.bank"), "--lower", "1",
+               "--learning-rate", "1e6", "--epochs", "20", "--out", str(params)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "epoch" in err and "batch" in err
+    assert not params.exists()
+
+
+def test_ablate_full_row_equals_sweep_row(workspace, tmp_path):
+    banks = ["--src", str(workspace / "src.bank"), "--tgt", str(workspace / "tgt.bank")]
+    rc = main(["ablate", *banks, "--lower", "2", "--seeds", "4", "--epochs", "2",
+               "--report", str(tmp_path / "ablate.csv")])
+    assert rc == 0
+    rc = main(["sweep", *banks, "--layers", "2", "--seed", "4", "--epochs", "2",
+               "--report", str(tmp_path / "sweep.csv")])
+    assert rc == 0
+    ablate = [line.split(",") for line in (tmp_path / "ablate.csv").read_text().splitlines()]
+    sweep = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()]
+    assert ablate[0][2:] == sweep[0][2:]
+    full = next(row for row in ablate if row[:2] == ["full", "4"])
+    fused = next(row for row in sweep if row[0] == "D_2")
+    assert [float(x) for x in full[2:]] == [float(x) for x in fused[2:]]

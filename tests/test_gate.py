@@ -10,8 +10,6 @@ from layerfuse import (
     Tensor,
     elementwise_mul,
     gate_forward,
-    gate_global_only,
-    gate_local_only,
     global_branch_forward,
     init_gate_params,
     inner_width,
@@ -30,7 +28,7 @@ def rand(shape):
 class TestInit:
     def test_zero_gate_scheme_gives_half(self):
         params = init_gate_params(8, 4, "zero_gate", seed=0)
-        _, gate = gate_forward(rand((2, 3, 8)), params)
+        gate = gate_forward(rand((2, 3, 8)), params)
         npt.assert_array_equal(gate.data, np.full((2, 3, 8), 0.5))
 
     def test_same_seed_bit_identical(self):
@@ -62,7 +60,7 @@ class TestInit:
     def test_reduction_larger_than_channels(self):
         params = init_gate_params(3, 8, "kaiming", seed=0)
         assert params.global_branch.conv1_kernel.data.shape == (3, 1)
-        _, gate = gate_forward(rand((1, 2, 3)), params)
+        gate = gate_forward(rand((1, 2, 3)), params)
         assert gate.data.shape == (1, 2, 3)
 
     def test_bad_arguments(self):
@@ -121,19 +119,19 @@ class TestGateForward:
     def test_zero_gate_literal_halves_input(self):
         params = init_gate_params(8, 4, "zero_gate", seed=0)
         x = RNG.normal(size=(2, 3, 8))
-        out, _ = gate_forward(Tensor(x), params, mode="literal")
+        out = gate_forward(Tensor(x), params, mode="literal")
         npt.assert_array_equal(out.data, 0.5 * x)
 
     def test_zero_gate_sigmoid_constant_half(self):
         params = init_gate_params(8, 4, "zero_gate", seed=0)
-        out, _ = gate_forward(rand((2, 3, 8)), params, mode="sigmoid")
+        out = gate_forward(rand((2, 3, 8)), params, mode="sigmoid")
         npt.assert_array_equal(out.data, np.full((2, 3, 8), 0.5))
 
     def test_literal_magnitude_bound(self):
         for seed in range(5):
             params = init_gate_params(8, 4, "kaiming", seed=seed)
             x = RNG.normal(size=(2, 4, 8)) * 3.0
-            out, _ = gate_forward(Tensor(x), params, mode="literal")
+            out = gate_forward(Tensor(x), params, mode="literal")
             assert np.all(np.abs(out.data) <= np.abs(x))
 
     def test_unknown_mode(self):
@@ -147,7 +145,7 @@ class TestGateForward:
         for draw in range(10_000):
             params = init_gate_params(4, 4, "kaiming", seed=draw)
             x = Tensor(rng.normal(size=(1, 2, 4)) * 3.0)
-            _, gate = gate_forward(x, params)
+            gate = gate_forward(x, params)
             data = gate.data
             assert np.all(data > 0.0) and np.all(data < 1.0)
 
@@ -157,7 +155,7 @@ class TestGateForward:
         weights = Tensor(RNG.normal(size=(2, 3, 8)))
 
         def loss_fn():
-            out, _ = gate_forward(x, params, mode="literal")
+            out = gate_forward(x, params, mode="literal")
             return tensor_sum(elementwise_mul(out, weights))
 
         report = finite_difference_check(loss_fn, params.parameters(), rtol=1e-4)
@@ -167,47 +165,43 @@ class TestGateForward:
 class TestVariants:
     def test_global_only_token_constant(self):
         params = init_gate_params(8, 4, "kaiming", seed=2)
-        _, gate = gate_global_only(rand((3, 5, 8)), params)
+        gate = gate_forward(rand((3, 5, 8)), params, variant="global")
         assert gate.data.shape == (3, 1, 8)
 
     def test_global_only_zero_gate(self):
         params = init_gate_params(8, 4, "zero_gate", seed=0)
-        _, gate = gate_global_only(rand((3, 5, 8)), params)
+        gate = gate_forward(rand((3, 5, 8)), params, variant="global")
         npt.assert_array_equal(gate.data, np.full((3, 1, 8), 0.5))
 
     def test_global_only_literal_shape(self):
         params = init_gate_params(8, 4, "kaiming", seed=2)
-        out, _ = gate_global_only(rand((3, 5, 8)), params, mode="literal")
+        out = gate_forward(rand((3, 5, 8)), params, mode="literal", variant="global")
         assert out.data.shape == (3, 5, 8)
 
     def test_local_only_zero_gate(self):
         params = init_gate_params(8, 4, "zero_gate", seed=0)
-        _, gate = gate_local_only(rand((2, 4, 8)), params)
+        gate = gate_forward(rand((2, 4, 8)), params, variant="local")
         npt.assert_array_equal(gate.data, np.full((2, 4, 8), 0.5))
 
     def test_local_only_permutation_equivariance(self):
         params = init_gate_params(8, 4, "kaiming", seed=5)
         x = RNG.normal(size=(2, 6, 8))
         perm = RNG.permutation(6)
-        _, gate = gate_local_only(Tensor(x), params)
-        _, gate_perm = gate_local_only(Tensor(x[:, perm]), params)
+        gate = gate_forward(Tensor(x), params, variant="local")
+        gate_perm = gate_forward(Tensor(x[:, perm]), params, variant="local")
         npt.assert_array_equal(gate.data[:, perm], gate_perm.data)
 
     def test_local_only_gate_range(self):
         params = init_gate_params(8, 4, "kaiming", seed=5)
-        _, gate = gate_local_only(rand((2, 4, 8)), params)
+        gate = gate_forward(rand((2, 4, 8)), params, variant="local")
         assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
     def test_variant_distinctness_same_seed(self):
         params = init_gate_params(8, 4, "kaiming", seed=11)
         x = RNG.normal(size=(2, 4, 8))
         gates = {}
-        for name, fn in (
-            ("full", gate_forward),
-            ("global", gate_global_only),
-            ("local", gate_local_only),
-        ):
-            _, gate = fn(Tensor(x.copy()), params)
+        for name in ("full", "global", "local"):
+            gate = gate_forward(Tensor(x.copy()), params, variant=name)
             gates[name] = np.broadcast_to(gate.data, x.shape)
         for a, b in (("full", "global"), ("full", "local"), ("global", "local")):
             assert np.abs(gates[a] - gates[b]).max() > 1e-8

@@ -157,6 +157,31 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="train"):
             train(BaselineSystem(upper=1), init_head(8, 4, 0), test_only, TrainConfig())
 
+    def test_one_row_tail_batch_joins_previous(self):
+        source, _ = generate_task(SyntheticTaskSpec(
+            train_sentences=33, test_sentences=8, channels=8, latent_dim=4,
+            tokens=4, n_layers=2, invariance=(0.9, 0.1), seed=4,
+        ))
+        system = build_fusion_system(LayerPair(1, 2), 8, seed=0)
+        curve = train(system, init_head(8, source.num_classes, 0), source,
+                      TrainConfig(epochs=2, batch_size=32))
+        assert len(curve) == 2 and np.all(np.isfinite(curve))
+
+    def test_single_train_sentence_rejected(self, small_banks):
+        source, _ = small_banks
+        from layerfuse import LayerBank
+
+        rows = np.concatenate([source.split_indices("train")[:1], source.split_indices("test")])
+        one_train = LayerBank(
+            layers=[layer[rows] for layer in source.layers],
+            labels=source.labels[rows],
+            languages=["src"] * rows.size,
+            splits=[source.splits[i] for i in rows],
+        )
+        system = build_fusion_system(LayerPair(1, 3), 8, seed=0)
+        with pytest.raises(DataError, match="1 sentences in the train split"):
+            train(system, init_head(8, 4, 0), one_train, TrainConfig())
+
     def test_pair_outside_bank_rejected(self, small_banks):
         source, _ = small_banks
         system = build_fusion_system(LayerPair(2, 9), 8, seed=0)
