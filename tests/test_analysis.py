@@ -1,7 +1,14 @@
 """Cosine-similarity probe and report emission."""
 
+import csv
+import io
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerfuse import (
     BaselineSystem,
@@ -190,3 +197,125 @@ class TestEmit:
             emit_report(_sweep_report(), "yaml")
         with pytest.raises(TypeError):
             emit_report({"not": "a report"}, "csv")
+
+
+# Exact report bytes: a three-row sweep given out of order (baseline in the
+# middle) and a two-language similarity report.
+GOLDEN_SWEEP = SweepReport(
+    upper=2, variant="local", mode="literal", seed=7,
+    rows=[
+        SweepRow("D_2", 2, 2 / 3, 0.5, 0.1, 0.25),
+        SweepRow("baseline", None, 1 / 3, 0.5, 0.125, 1 / 7),
+        SweepRow("D_1", 1, 1.0, 0.9375, 0.75, 0.0),
+    ],
+)
+GOLDEN_SIMILARITY = SimilarityReport(
+    model="D_3", average=0.5, per_language={"tgt": 0.25, "de": 0.75}, pairs=4
+)
+GOLDEN = {
+    ("sweep", "csv"): """\
+config,lower,source_accuracy,source_f1,target_accuracy,target_f1
+baseline,,0.3333333333333333,0.5,0.125,0.14285714285714285
+D_1,1,1.0,0.9375,0.75,0.0
+D_2,2,0.6666666666666666,0.5,0.1,0.25
+""",
+    ("sweep", "json"): """\
+{
+ "gate_mode": "literal",
+ "rows": [
+  {
+   "config": "baseline",
+   "lower": null,
+   "source_accuracy": 0.3333333333333333,
+   "source_f1": 0.5,
+   "target_accuracy": 0.125,
+   "target_f1": 0.14285714285714285
+  },
+  {
+   "config": "D_1",
+   "lower": 1,
+   "source_accuracy": 1.0,
+   "source_f1": 0.9375,
+   "target_accuracy": 0.75,
+   "target_f1": 0.0
+  },
+  {
+   "config": "D_2",
+   "lower": 2,
+   "source_accuracy": 0.6666666666666666,
+   "source_f1": 0.5,
+   "target_accuracy": 0.1,
+   "target_f1": 0.25
+  }
+ ],
+ "seed": 7,
+ "upper": 2,
+ "variant": "local"
+}
+""",
+    ("sweep", "table"): """\
+config      src acc   src F1  tgt acc   tgt F1
+----------------------------------------------
+baseline     0.3333   0.5000   0.1250   0.1429
+D_1          1.0000   0.9375   0.7500   0.0000
+D_2          0.6667   0.5000   0.1000   0.2500
+""",
+    ("similarity", "csv"): """\
+model,language,pairs,avg_cosine_similarity
+D_3,de,4,0.75
+D_3,tgt,4,0.25
+D_3,all,4,0.5
+""",
+    ("similarity", "json"): """\
+{
+ "avg_cosine_similarity": 0.5,
+ "model": "D_3",
+ "pairs": 4,
+ "per_language": {
+  "de": 0.75,
+  "tgt": 0.25
+ }
+}
+""",
+    ("similarity", "table"): """\
+model      language     Avg C.S.
+--------------------------------
+D_3        de             0.7500
+D_3        tgt            0.2500
+D_3        all            0.5000
+""",
+}
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(GOLDEN))
+def test_report_bytes(kind, fmt):
+    report = GOLDEN_SWEEP if kind == "sweep" else GOLDEN_SIMILARITY
+    assert emit_report(report, fmt) == GOLDEN[kind, fmt]
+
+
+_metric = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _sweep_rows(draw):
+    lowers = draw(st.lists(st.one_of(st.none(), st.integers(1, 24)), min_size=1, max_size=6))
+    return [
+        SweepRow("baseline" if lower is None else f"D_{lower}", lower,
+                 *(draw(_metric) for _ in range(4)))
+        for lower in lowers
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sweep_rows())
+def test_sweep_csv_and_json_roundtrip(rows):
+    report = SweepReport(upper=24, variant="full", mode="sigmoid", seed=0, rows=rows)
+    ordered = sorted(rows, key=lambda row: (row.lower is not None, row.lower or 0))
+    parsed = list(csv.DictReader(io.StringIO(emit_report(report, "csv"))))
+    assert [row["config"] for row in parsed] == [row.config for row in ordered]
+    assert [row["lower"] for row in parsed] == ["" if row.lower is None else str(row.lower)
+                                                for row in ordered]
+    for back, row in zip(parsed, ordered):
+        for name in ("source_accuracy", "source_f1", "target_accuracy", "target_f1"):
+            assert float(back[name]) == getattr(row, name)
+    assert json.loads(emit_report(report, "json"))["rows"] == [asdict(row) for row in ordered]

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from layerfuse import BaselineSystem, init_head, read_bank, save_params
+from layerfuse import BaselineSystem, SweepRow, init_head, read_bank, save_params
+from layerfuse import cli
 from layerfuse.cli import main
 from layerfuse.synthetic import SyntheticTaskSpec
 
@@ -283,3 +284,38 @@ def test_ablate_full_row_equals_sweep_row(workspace, tmp_path):
     full = next(row for row in ablate if row[:2] == ["full", "4"])
     fused = next(row for row in sweep if row[0] == "D_2")
     assert [float(x) for x in full[2:]] == [float(x) for x in fused[2:]]
+
+
+def test_ablate_csv_bytes(monkeypatch, tmp_path, capsys):
+    # Fixed rows per (variant, seed) instead of training, so the exact bytes
+    # of the report, mean rows included, are pinned.
+    target = {0: 0.5, 1: 1 / 3}
+
+    def fixed_row(source, target_bank, lower, upper, variant, mode, cfg):
+        share = {"full": 1.0, "global": 0.5, "local": 0.25}[variant]
+        return SweepRow(f"D_{lower}", lower, share, share / 3, target[cfg.seed] * share,
+                        0.1 * cfg.seed)
+
+    monkeypatch.setattr(cli, "read_bank", lambda path: None)
+    monkeypatch.setattr(cli, "sweep_row", fixed_row)
+    report = tmp_path / "ablate.csv"
+    rc = main(["ablate", "--src", "s.bank", "--tgt", "t.bank", "--lower", "1", "--upper", "2",
+               "--seeds", "0,1", "--report", str(report)])
+    assert rc == 0
+    assert report.read_text() == (
+        "variant,seed,source_accuracy,source_f1,target_accuracy,target_f1\n"
+        "full,0,1.0,0.3333333333333333,0.5,0.0\n"
+        "full,1,1.0,0.3333333333333333,0.3333333333333333,0.1\n"
+        "global,0,0.5,0.16666666666666666,0.25,0.0\n"
+        "global,1,0.5,0.16666666666666666,0.16666666666666666,0.1\n"
+        "local,0,0.25,0.08333333333333333,0.125,0.0\n"
+        "local,1,0.25,0.08333333333333333,0.08333333333333333,0.1\n"
+        "full,mean,,,0.41666666666666663,\n"
+        "global,mean,,,0.20833333333333331,\n"
+        "local,mean,,,0.10416666666666666,\n"
+    )
+    assert capsys.readouterr().out == (
+        "full: mean target accuracy 0.4167\n"
+        "global: mean target accuracy 0.2083\n"
+        "local: mean target accuracy 0.1042\n"
+    )
