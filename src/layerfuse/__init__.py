@@ -29,10 +29,12 @@ from .bank import (
 )
 from .fusion import (
     BaselineSystem,
+    ClassifierHead,
     FusionSystem,
     LayerPair,
     build_fusion_system,
     fuse_layers,
+    init_head,
 )
 from .gate import (
     GATE_MODES,
@@ -73,7 +75,6 @@ from .tensor import (
 )
 from .training import (
     AdamW,
-    ClassifierHead,
     Metrics,
     SweepReport,
     SweepRow,
@@ -81,7 +82,6 @@ from .training import (
     classification_metrics,
     evaluate,
     full_scale_config,
-    init_head,
     layer_sweep,
     softmax_cross_entropy,
     train,

@@ -1,13 +1,13 @@
 """Cross-language similarity probe and report serialization."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from .bank import DataError
 from .tensor import mean_pool_tokens
-from .training import SweepReport
+from .training import SweepReport, SweepRow
 
 
 class SimilarityError(ValueError):
@@ -92,120 +92,88 @@ def avg_cross_lingual_similarity(system, source, targets, pairs=20, split="test"
     )
 
 
-def _sorted_rows(report):
-    if not report.rows:
-        raise SimilarityError("sweep report must be non-empty")
-    return sorted(report.rows, key=lambda row: (row.lower is not None, row.lower or 0))
-
-
-_SWEEP_COLUMNS = (
-    "config",
-    "lower",
-    "source_accuracy",
-    "source_f1",
-    "target_accuracy",
-    "target_f1",
-)
-
-
-def _sweep_csv(report):
-    lines = [",".join(_SWEEP_COLUMNS)]
-    for row in _sorted_rows(report):
-        lower = "" if row.lower is None else str(row.lower)
-        lines.append(
-            f"{row.config},{lower},{row.source_accuracy!r},{row.source_f1!r},"
-            f"{row.target_accuracy!r},{row.target_f1!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _sweep_json(report):
-    doc = {
-        "upper": report.upper,
-        "variant": report.variant,
-        "gate_mode": report.mode,
-        "seed": report.seed,
-        "rows": [
-            {
-                "config": row.config,
-                "lower": row.lower,
-                "source_accuracy": row.source_accuracy,
-                "source_f1": row.source_f1,
-                "target_accuracy": row.target_accuracy,
-                "target_f1": row.target_f1,
-            }
-            for row in _sorted_rows(report)
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
-def _sweep_table(report):
-    header = f"{'config':<10} {'src acc':>8} {'src F1':>8} {'tgt acc':>8} {'tgt F1':>8}"
-    lines = [header, "-" * len(header)]
-    for row in _sorted_rows(report):
-        lines.append(
-            f"{row.config:<10} {row.source_accuracy:>8.4f} {row.source_f1:>8.4f} "
-            f"{row.target_accuracy:>8.4f} {row.target_f1:>8.4f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _similarity_entries(report):
-    if not report.per_language:
-        raise SimilarityError("similarity report must be non-empty")
-    return sorted(report.per_language.items())
-
-
-def _similarity_csv(report):
-    lines = ["model,language,pairs,avg_cosine_similarity"]
-    for language, value in _similarity_entries(report):
-        lines.append(f"{report.model},{language},{report.pairs},{value!r}")
-    lines.append(f"{report.model},all,{report.pairs},{report.average!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _similarity_json(report):
-    _similarity_entries(report)
-    doc = {
-        "model": report.model,
-        "avg_cosine_similarity": report.average,
-        "per_language": dict(sorted(report.per_language.items())),
-        "pairs": report.pairs,
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
-def _similarity_table(report):
-    header = f"{'model':<10} {'language':<10} {'Avg C.S.':>10}"
-    lines = [header, "-" * len(header)]
-    for language, value in _similarity_entries(report):
-        lines.append(f"{report.model:<10} {language:<10} {value:>10.4f}")
-    lines.append(f"{report.model:<10} {'all':<10} {report.average:>10.4f}")
-    return "\n".join(lines) + "\n"
-
-
-_EMITTERS = {
-    SweepReport: {"csv": _sweep_csv, "json": _sweep_json, "table": _sweep_table},
-    SimilarityReport: {
-        "csv": _similarity_csv,
-        "json": _similarity_json,
-        "table": _similarity_table,
-    },
+# Column -> (heading, alignment and width, number format) of the fixed-width
+# table; a column missing here appears only in CSV and JSON.
+_TABLE_COLUMNS = {
+    "config": ("config", "<10", ""),
+    "source_accuracy": ("src acc", ">8", ".4f"),
+    "source_f1": ("src F1", ">8", ".4f"),
+    "target_accuracy": ("tgt acc", ">8", ".4f"),
+    "target_f1": ("tgt F1", ">8", ".4f"),
+    "model": ("model", "<10", ""),
+    "language": ("language", "<10", ""),
+    "avg_cosine_similarity": ("Avg C.S.", ">10", ".4f"),
 }
 
 REPORT_FORMATS = ("csv", "json", "table")
 
 
+def _tabulate(report):
+    """(columns, rows, JSON document) of a sweep or similarity report.
+
+    Sweep rows come baseline-first, then by ascending layer index; languages
+    alphabetically, followed by the overall average.
+    """
+    if isinstance(report, SweepReport):
+        if not report.rows:
+            raise SimilarityError("sweep report must be non-empty")
+        ordered = sorted(report.rows, key=lambda row: (row.lower is not None, row.lower or 0))
+        doc = {
+            "upper": report.upper,
+            "variant": report.variant,
+            "gate_mode": report.mode,
+            "seed": report.seed,
+            "rows": [asdict(row) for row in ordered],
+        }
+        return [f.name for f in fields(SweepRow)], [astuple(row) for row in ordered], doc
+    if not report.per_language:
+        raise SimilarityError("similarity report must be non-empty")
+    entries = [*sorted(report.per_language.items()), ("all", report.average)]
+    doc = {
+        "model": report.model,
+        "avg_cosine_similarity": report.average,
+        "per_language": report.per_language,
+        "pairs": report.pairs,
+    }
+    columns = ["model", "language", "pairs", "avg_cosine_similarity"]
+    return columns, [(report.model, language, report.pairs, value) for language, value in entries], doc
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def render_csv(columns, rows):
+    """CSV text: a header line, then one line per row.
+
+    None is an empty cell and a float keeps its full ``repr`` precision.
+    """
+    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _render_table(columns, rows):
+    shown = [(i, *_TABLE_COLUMNS[name]) for i, name in enumerate(columns) if name in _TABLE_COLUMNS]
+    header = " ".join(format(heading, width) for _, heading, width, _ in shown)
+    lines = [header, "-" * len(header)]
+    for row in rows:
+        lines.append(" ".join(format(row[i], width + number) for i, _, width, number in shown))
+    return "\n".join(lines) + "\n"
+
+
 def emit_report(report, fmt="csv"):
     """Serialize a sweep or similarity report; deterministic per report.
 
-    Rows are emitted baseline-first then by ascending layer index; languages
-    alphabetically.  Two emissions of the same report are byte-identical.
+    Every format renders the same table (see ``_tabulate``), so two emissions
+    of the same report are byte-identical.
     """
-    for kind, emitters in _EMITTERS.items():
-        if isinstance(report, kind):
-            if fmt not in emitters:
-                raise ValueError(f"unknown report format {fmt!r}, expected one of {REPORT_FORMATS}")
-            return emitters[fmt](report)
-    raise TypeError(f"cannot emit report of type {type(report).__name__}")
+    if not isinstance(report, (SweepReport, SimilarityReport)):
+        raise TypeError(f"cannot emit report of type {type(report).__name__}")
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}, expected one of {REPORT_FORMATS}")
+    columns, rows, doc = _tabulate(report)
+    if fmt == "json":
+        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return (render_csv if fmt == "csv" else _render_table)(columns, rows)

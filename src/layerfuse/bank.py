@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import BaselineSystem, FusionSystem, LayerPair
+from .fusion import BaselineSystem, ClassifierHead, FusionSystem, LayerPair
 from .gate import BranchParams, GateParams
 from .tensor import Tensor, parameter
 
@@ -175,9 +175,19 @@ def read_bank(path):
         manifest = json.loads(raw[manifest_start : manifest_start + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise BankFormatError(f"{path}: manifest is not valid JSON ({err})") from err
+    if not isinstance(manifest, dict):
+        raise BankFormatError(f"{path}: manifest is not a JSON object")
     for key in ("labels", "language", "split"):
         if key not in manifest:
             raise BankFormatError(f"{path}: manifest missing field {key!r}")
+    labels = manifest["labels"]
+    if not isinstance(labels, list):
+        raise BankFormatError(f"{path}: manifest labels must be a list of integers")
+    for index, label in enumerate(labels):
+        if type(label) is not int or not 0 <= label < 2**63:
+            raise BankFormatError(
+                f"{path}: label {index} is {label!r}, expected an integer in [0, 2**63)"
+            )
     arr = values.astype(np.float64).reshape(n_layers, sentences, tokens, channels)
     finite = np.isfinite(arr)
     if not finite.all():
@@ -189,7 +199,7 @@ def read_bank(path):
     try:
         return LayerBank(
             layers=list(arr),
-            labels=np.asarray(manifest["labels"], dtype=np.int64),
+            labels=np.asarray(labels, dtype=np.int64),
             languages=[str(x) for x in manifest["language"]],
             splits=[str(x) for x in manifest["split"]],
         )
@@ -207,8 +217,6 @@ def _nest(items):
         node = root
         for key in parents:
             node = node.setdefault(key, {})
-        if isinstance(value, Tensor):
-            value = value.data
         node[leaf] = value.tolist() if isinstance(value, np.ndarray) else value
     return root
 
@@ -219,14 +227,19 @@ def save_params(system, head, path):
     Blocks follow the model's dotted parameter names: gate tensor
     ``global.bn1.gamma`` is stored at ``gate.global.bn1.gamma``.  Floats are
     rendered with full shortest-roundtrip precision, so reloading reproduces
-    every value bit-exactly; a non-finite value is an error.
+    every value bit-exactly; a non-finite value is an error naming its path.
     """
+    named = {f"gate.{name}": value for name, value in system.state()} | head.parameters()
+    named = {name: value.data if isinstance(value, Tensor) else value for name, value in named.items()}
+    for name, value in named.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{path}: refusing to write non-finite parameter {name}")
     doc = {
         "format": PARAMS_FORMAT,
         "version": PARAMS_VERSION,
         "system": system.describe(),
-        "gate": _nest(system.state()) or None,
-        **_nest(head.parameters().items()),
+        "gate": None,  # replaced by the gate block of a fusion system
+        **_nest(named.items()),
     }
     try:
         text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
@@ -248,8 +261,6 @@ def _lookup(doc, dotted):
 
 def load_params(path):
     """Load (system, head) from a parameter file, validating the schema."""
-    from .training import ClassifierHead  # training imports this module for DataError
-
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)

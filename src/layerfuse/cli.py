@@ -11,21 +11,21 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .analysis import avg_cross_lingual_similarity, emit_report
+from .analysis import REPORT_FORMATS, avg_cross_lingual_similarity, emit_report, render_csv
 from .bank import LayerBank, load_params, read_bank, save_params, write_bank
-from .fusion import BaselineSystem, LayerPair, build_fusion_system
+from .fusion import BaselineSystem, LayerPair, build_fusion_system, init_head
 from .gate import GATE_MODES, VARIANTS
 from .gradcheck import classification_pipeline, finite_difference_check
 from .synthetic import SyntheticTaskSpec, generate_task
 from .training import (
+    SweepRow,
     TrainConfig,
     evaluate,
     full_scale_config,
-    init_head,
     layer_sweep,
     sweep_row,
     train,
@@ -232,24 +232,19 @@ def _cmd_ablate(args):
     target = read_bank(args.tgt)
     upper = args.upper if args.upper is not None else source.n_layers
     cfg = _train_config(args)
-    lines = ["variant,seed,source_accuracy,source_f1,target_accuracy,target_f1"]
-    means = {}
+    # The metric columns are the SweepRow fields after config and lower.
+    columns = ["variant", "seed", *(f.name for f in fields(SweepRow)[2:])]
+    table, means = [], {}
     for variant in VARIANTS:
         rows = [
             sweep_row(source, target, args.lower, upper, variant, args.gate_mode,
                       replace(cfg, seed=seed))
             for seed in args.seeds
         ]
-        for seed, row in zip(args.seeds, rows):
-            lines.append(
-                f"{variant},{seed},{row.source_accuracy!r},{row.source_f1!r},"
-                f"{row.target_accuracy!r},{row.target_f1!r}"
-            )
+        table += [(variant, seed, *astuple(row)[2:]) for seed, row in zip(args.seeds, rows)]
         means[variant] = sum(row.target_accuracy for row in rows) / len(rows)
-    for variant in VARIANTS:
-        lines.append(f"{variant},mean,,,{means[variant]!r},")
-    text = "\n".join(lines) + "\n"
-    Path(args.report).write_text(text, encoding="utf-8")
+    table += [(variant, "mean", None, None, means[variant], None) for variant in VARIANTS]
+    Path(args.report).write_text(render_csv(columns, table), encoding="utf-8")
     for variant in VARIANTS:
         print(f"{variant}: mean target accuracy {means[variant]:.4f}")
     config = {
@@ -407,7 +402,7 @@ def build_parser():
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--pairs", type=int, default=20, help="parallel sentence pairs per language")
     sub.add_argument("--split", default="test")
-    sub.add_argument("--format", choices=("csv", "json", "table"), default="table")
+    sub.add_argument("--format", choices=REPORT_FORMATS, default="table")
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
     _common(sub)
     sub.set_defaults(func=_cmd_cossim)

@@ -1,6 +1,8 @@
-"""Convex per-element fusion of two encoder layers through the attention gate."""
+"""Convex per-element fusion of two encoder layers, its systems, and the classifier head."""
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .gate import (
     GateParams,
@@ -9,7 +11,8 @@ from .gate import (
     gate_forward,
     init_gate_params,
 )
-from .tensor import DimensionError, Tensor, broadcast_add, elementwise_mul, scale, shift, sub
+from .seeding import STREAM_HEAD, rng_stream
+from .tensor import DimensionError, Tensor, broadcast_add, conv1x1, elementwise_mul, parameter, scale, shift, sub
 
 
 @dataclass(frozen=True)
@@ -124,3 +127,26 @@ def build_fusion_system(
     """Deterministically assemble a FusionSystem for the given seed."""
     params = init_gate_params(channels, reduction=reduction, scheme=scheme, seed=seed)
     return FusionSystem(pair=pair, params=params, variant=variant, mode=mode)
+
+
+@dataclass
+class ClassifierHead:
+    """Linear sentence classifier over pooled fused embeddings."""
+
+    weight: Tensor
+    bias: Tensor
+
+    def logits(self, features):
+        return conv1x1(features, self.weight, self.bias)
+
+    def parameters(self):
+        return {"head.weight": self.weight, "head.bias": self.bias}
+
+
+def init_head(channels, classes, seed=0):
+    """Deterministic head init: N(0, 1/channels) weights, zero bias."""
+    if channels < 1 or classes < 2:
+        raise ValueError("head needs at least one channel and two classes")
+    rng = rng_stream(seed, STREAM_HEAD)
+    weight = rng.normal(0.0, np.sqrt(1.0 / channels), (channels, classes))
+    return ClassifierHead(weight=parameter(weight), bias=parameter([0.0] * classes))

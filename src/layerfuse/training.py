@@ -1,4 +1,4 @@
-"""Classifier head, optimizer, training loop, and the layer sweep."""
+"""Loss, optimizer, training loop, and the layer sweep."""
 
 import concurrent.futures
 import functools
@@ -7,9 +7,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bank import DataError
-from .fusion import BaselineSystem, FusionSystem, LayerPair, build_fusion_system
-from .seeding import STREAM_BATCHES, STREAM_HEAD, rng_stream
-from .tensor import DimensionError, Tensor, _accumulate, _node, backward, conv1x1, mean_pool_tokens, parameter
+# ClassifierHead lives beside the systems; it stays importable from here.
+from .fusion import BaselineSystem, ClassifierHead, FusionSystem, LayerPair, build_fusion_system, init_head
+from .seeding import STREAM_BATCHES, rng_stream
+from .tensor import DimensionError, _accumulate, _node, backward, mean_pool_tokens
 
 
 @dataclass
@@ -54,29 +55,6 @@ class TrainConfig:
 def full_scale_config(**overrides):
     """Preset for fine-tuning behind a full pretrained encoder (lr 2e-5)."""
     return replace(TrainConfig(learning_rate=2e-5), **overrides)
-
-
-@dataclass
-class ClassifierHead:
-    """Linear sentence classifier over pooled fused embeddings."""
-
-    weight: Tensor
-    bias: Tensor
-
-    def logits(self, features):
-        return conv1x1(features, self.weight, self.bias)
-
-    def parameters(self):
-        return {"head.weight": self.weight, "head.bias": self.bias}
-
-
-def init_head(channels, classes, seed=0):
-    """Deterministic head init: N(0, 1/channels) weights, zero bias."""
-    if channels < 1 or classes < 2:
-        raise ValueError("head needs at least one channel and two classes")
-    rng = rng_stream(seed, STREAM_HEAD)
-    weight = rng.normal(0.0, np.sqrt(1.0 / channels), (channels, classes))
-    return ClassifierHead(weight=parameter(weight), bias=parameter([0.0] * classes))
 
 
 def softmax_cross_entropy(logits, labels):
@@ -298,6 +276,7 @@ def layer_sweep(source, target, layers, cfg, variant="full", mode="sigmoid", upp
     if jobs <= 1:
         rows = [run(lower) for lower in lowers]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts every worker up front, so never more than there are rows.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(lowers))) as pool:
             rows = list(pool.map(run, lowers))
     return SweepReport(upper=upper, variant=variant, mode=mode, seed=cfg.seed, rows=rows)

@@ -196,6 +196,34 @@ class TestBankValidation:
         with pytest.raises((BankFormatError, DataError)):
             read_bank(path)
 
+    @pytest.mark.parametrize("labels, named", [
+        ([0, 1.7, 0, 0], "label 1 is 1.7"),
+        ([[1], [0], [0], [0]], "label 0 is \\[1\\]"),
+        ([0, 0, True, 0], "label 2 is True"),
+        ([0, 0, 0, 2**63], "label 3 is 9223372036854775808"),
+        ([0, -1, 0, 0], "label 1 is -1"),
+        ("0000", "manifest labels must be a list"),
+    ])
+    def test_bad_labels_named(self, tmp_path, labels, named):
+        path = tmp_path / "bad.bank"
+        manifest = json.dumps({"labels": labels, "language": ["a"] * 4, "split": ["t"] * 4})
+        path.write_bytes(_raw_bank(manifest=manifest.encode()))
+        with pytest.raises(BankFormatError, match=f"{re.escape(str(path))}: {named}"):
+            read_bank(path)
+
+    def test_largest_label_accepted(self, tmp_path):
+        path = tmp_path / "big.bank"
+        labels = [0, 1, 2**63 - 1, 0]
+        manifest = json.dumps({"labels": labels, "language": ["a"] * 4, "split": ["t"] * 4})
+        path.write_bytes(_raw_bank(manifest=manifest.encode()))
+        assert read_bank(path).labels.tolist() == labels
+
+    def test_manifest_not_object(self, tmp_path):
+        path = tmp_path / "bad.bank"
+        path.write_bytes(_raw_bank(manifest=b'"labels language split"'))
+        with pytest.raises(BankFormatError, match="JSON object"):
+            read_bank(path)
+
     def test_empty_dimensions(self, tmp_path):
         path = tmp_path / "bad.bank"
         path.write_bytes(struct.pack("<4sIIIII", MAGIC, 1, 0, 1, 1, 1) + struct.pack("<Q", 0))
@@ -286,8 +314,13 @@ class TestParamsRoundtrip:
         head = init_head(8, 3, seed=1)
         head.bias.data[1] = np.nan
         path = tmp_path / "params.json"
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite parameter head.bias$"):
             save_params(BaselineSystem(upper=2), head, path)
+        assert not path.exists()
+        system = build_fusion_system(LayerPair(1, 2), 8, seed=1)
+        system.params.local_branch.bn2.running_var[3] = np.inf
+        with pytest.raises(ValueError, match="non-finite parameter gate.local.bn2.running_var$"):
+            save_params(system, init_head(8, 3, seed=1), path)
         assert not path.exists()
 
     def test_baseline_roundtrip(self, tmp_path):

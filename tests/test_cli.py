@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, manifests, and reproducibility."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from layerfuse import BaselineSystem, SweepRow, init_head, read_bank, save_params
+from layerfuse import BaselineSystem, LayerBank, SweepRow, init_head, read_bank, save_params, write_bank
 from layerfuse import cli
 from layerfuse.cli import main
 from layerfuse.synthetic import SyntheticTaskSpec
@@ -243,6 +244,22 @@ def test_corrupt_bank_exit_one(workspace, tmp_path, capsys):
     rc = main(["inspect-bank", "--bank", str(bad), "--manifest", str(tmp_path / "m.json")])
     assert rc == 1
     assert "magic" in capsys.readouterr().err
+
+
+def test_out_of_range_label_exit_one(tmp_path, capsys):
+    bank = tmp_path / "big.bank"
+    write_bank(LayerBank(layers=[np.zeros((1, 1, 1))], labels=[0], languages=["a"],
+                         splits=["t"]), bank)
+    raw = bank.read_bytes()
+    kept = 24 + 4  # header plus the one float32 value
+    manifest = json.loads(raw[kept + 8:])
+    manifest["labels"] = [2**63]
+    encoded = json.dumps(manifest).encode()
+    bank.write_bytes(raw[:kept] + struct.pack("<Q", len(encoded)) + encoded)
+    rc = main(["inspect-bank", "--bank", str(bank), "--manifest", str(tmp_path / "m.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "label 0" in err
 
 
 def test_fuse_malformed_params_exit_one(workspace, tmp_path, capsys):

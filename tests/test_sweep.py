@@ -1,5 +1,7 @@
 """Layer sweep protocol: structure, controls, and determinism."""
 
+import concurrent.futures
+
 import pytest
 
 from layerfuse import DataError, SyntheticTaskSpec, TrainConfig, generate_task, layer_sweep
@@ -57,6 +59,31 @@ def test_parallel_rows_identical(banks, report):
     source, target = banks
     parallel = layer_sweep(source, target, range(1, 5), CFG, jobs=2)
     assert emit_report(parallel, "csv") == emit_report(report, "csv")
+
+
+def test_pool_capped_at_row_count(banks, report, monkeypatch):
+    # The pool starts all its workers at once; a stub that maps in-process
+    # records how many a sweep asks for without starting any.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    source, target = banks
+    pooled = layer_sweep(source, target, range(1, 5), CFG, jobs=64)
+    assert sizes == [len(report.rows)]
+    assert emit_report(pooled, "csv") == emit_report(report, "csv")
 
 
 def test_layer_out_of_range(banks):
