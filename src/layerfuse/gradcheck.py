@@ -4,11 +4,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import fuse_layers
+from .fusion import fuse_layers, init_head
 from .gate import init_gate_params
 from .seeding import STREAM_CHECK, rng_stream
 from .tensor import Tensor, backward, mean_pool_tokens
-from .training import init_head, softmax_cross_entropy
+from .training import softmax_cross_entropy
 
 
 class EvaluationError(RuntimeError):
