@@ -1,4 +1,4 @@
-"""Persistence: layer-bank binary files and model-parameter JSON files.
+"""Persistence: layer-bank binary files, model-parameter files, JSON config documents.
 
 Bank layout: magic ``DLFB``, then version, layer count and (B, T, E) as
 little-endian u32, the payload as little-endian float32 in row-major
@@ -41,6 +41,14 @@ class BankTruncationError(BankFormatError):
 
 class ParamsFormatError(ValueError):
     """A parameter file does not follow the documented schema."""
+
+
+# Manifest list field -> (name of one entry, entry check, what an entry must be).
+_MANIFEST_LISTS = {
+    "labels": ("label", lambda x: type(x) is int and 0 <= x < 2**63, "an integer in [0, 2**63)"),
+    "language": ("language", lambda x: type(x) is str, "a string"),
+    "split": ("split", lambda x: type(x) is str, "a string"),
+}
 
 
 @dataclass(eq=False)
@@ -177,17 +185,14 @@ def read_bank(path):
         raise BankFormatError(f"{path}: manifest is not valid JSON ({err})") from err
     if not isinstance(manifest, dict):
         raise BankFormatError(f"{path}: manifest is not a JSON object")
-    for key in ("labels", "language", "split"):
+    for key, (entry, valid, expected) in _MANIFEST_LISTS.items():
         if key not in manifest:
             raise BankFormatError(f"{path}: manifest missing field {key!r}")
-    labels = manifest["labels"]
-    if not isinstance(labels, list):
-        raise BankFormatError(f"{path}: manifest labels must be a list of integers")
-    for index, label in enumerate(labels):
-        if type(label) is not int or not 0 <= label < 2**63:
-            raise BankFormatError(
-                f"{path}: label {index} is {label!r}, expected an integer in [0, 2**63)"
-            )
+        if not isinstance(manifest[key], list):
+            raise BankFormatError(f"{path}: manifest {key} must be a list")
+        for index, value in enumerate(manifest[key]):
+            if not valid(value):
+                raise BankFormatError(f"{path}: {entry} {index} is {value!r}, expected {expected}")
     arr = values.astype(np.float64).reshape(n_layers, sentences, tokens, channels)
     finite = np.isfinite(arr)
     if not finite.all():
@@ -196,17 +201,38 @@ def read_bank(path):
             f"{path}: non-finite value at layer {layer + 1}, sentence {b}, "
             f"token {t}, channel {e}"
         )
-    try:
-        return LayerBank(
-            layers=list(arr),
-            labels=np.asarray(labels, dtype=np.int64),
-            languages=[str(x) for x in manifest["language"]],
-            splits=[str(x) for x in manifest["split"]],
-        )
-    except (TypeError, ValueError) as err:
-        if isinstance(err, DataError):
-            raise
-        raise BankFormatError(f"{path}: malformed manifest ({err})") from err
+    return LayerBank(
+        layers=list(arr),
+        labels=np.asarray(manifest["labels"], dtype=np.int64),
+        languages=manifest["language"],
+        splits=manifest["split"],
+    )
+
+
+# Dataclass field type -> (check of a decoded JSON value, what the value must be).
+# A decoded bool has type bool, so it is never taken for a number.
+_JSON_TYPES = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float), "a number"),
+    tuple: (lambda v: type(v) is list and all(type(x) in (int, float) for x in v), "a list of numbers"),
+}
+
+
+def check_document(cls, doc, error, what):
+    """Require a JSON object of ``cls``'s dataclass fields, each of its field's JSON type.
+
+    Otherwise raise ``error`` naming the unknown or mistyped field.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object, got {type(doc).__name__}")
+    fields = cls.__dataclass_fields__
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise error(f"unknown {what} fields: {sorted(unknown)}")
+    for name, value in doc.items():
+        valid, expected = _JSON_TYPES[fields[name].type]
+        if not valid(value):
+            raise error(f"{what} field {name} must be {expected}, got {value!r}")
 
 
 def _nest(items):

@@ -90,17 +90,22 @@ def _write_manifest(args, argv, config, inputs, outputs, started):
     return target
 
 
+def _load_json(path, build):
+    """``build(document)`` for a JSON file; its errors name the file."""
+    try:
+        return build(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
 def _train_config(args):
-    # Precedence: preset defaults < --train-config JSON < explicit flags.
-    base = full_scale_config() if args.preset == "full-scale" else TrainConfig()
-    doc = base.to_dict()
-    if getattr(args, "train_config", None):
-        doc.update(json.loads(Path(args.train_config).read_text(encoding="utf-8")))
-    cfg = TrainConfig.from_dict(doc)
-    for name in ("seed", "epochs", "batch_size", "learning_rate", "weight_decay"):
-        if getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    return cfg
+    # Precedence: preset defaults < --train-config JSON < explicit flags, each
+    # applied through the same validation.
+    cfg = full_scale_config() if args.preset == "full-scale" else TrainConfig()
+    if args.train_config:
+        cfg = _load_json(args.train_config, lambda doc: TrainConfig.from_dict(doc, cfg))
+    flags = ("seed", "epochs", "batch_size", "learning_rate", "weight_decay")
+    return replace(cfg, **{name: getattr(args, name) for name in flags if getattr(args, name) is not None})
 
 
 def _add_train_flags(parser):
@@ -117,13 +122,9 @@ def _add_train_flags(parser):
 
 
 def _cmd_gen_task(args):
-    if args.spec:
-        spec_doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        spec = SyntheticTaskSpec.from_dict(spec_doc)
-    else:
-        spec = SyntheticTaskSpec()
+    spec = _load_json(args.spec, SyntheticTaskSpec.from_dict) if args.spec else SyntheticTaskSpec()
     if args.seed is not None:
-        spec = SyntheticTaskSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+        spec = replace(spec, seed=args.seed)
     source, target = generate_task(spec)
     write_bank(source, args.out_src)
     write_bank(target, args.out_tgt)

@@ -29,10 +29,11 @@ class LayerPair:
             )
 
 
-def fuse_layers(l1, l2, params, mode="sigmoid", variant="full"):
+def fuse_layers(l1, l2, params, mode="sigmoid", variant="full", training=False):
     """Mix two same-shape layers as l1*g + l2*(1-g).
 
-    The gate g is computed on the arithmetic mean of the layers.  Returns
+    The gate g is computed on the arithmetic mean of the layers, with
+    normalization in training or eval form as ``training`` says.  Returns
     (fused, weight) where ``weight`` is the mixing coefficient actually used:
     the sigmoid map in "sigmoid" mode, or the mean scaled by the sigmoid map
     in "literal" mode.
@@ -42,7 +43,7 @@ def fuse_layers(l1, l2, params, mode="sigmoid", variant="full"):
             f"fuse_layers: layer shapes differ, {l1.data.shape} vs {l2.data.shape}"
         )
     mean = scale(broadcast_add(l1, l2), 0.5)
-    weight = gate_forward(mean, params, mode, variant)
+    weight = gate_forward(mean, params, mode, variant, training)
     # Evaluated as mean + (l1 - l2) * (g - 1/2): equal inputs and a gate of
     # exactly one half then reproduce l1 and the arithmetic mean bit-exactly.
     fused = broadcast_add(mean, elementwise_mul(sub(l1, l2), shift(weight, -0.5)))
@@ -80,12 +81,8 @@ class FusionSystem:
     def state(self):
         return self.params.state()
 
-    def set_training(self, training):
-        self.params.set_training(training)
-
     def forward(self, l1, l2, training=False):
-        self.set_training(training)
-        return fuse_layers(l1, l2, self.params, mode=self.mode, variant=self.variant)
+        return fuse_layers(l1, l2, self.params, self.mode, self.variant, training)
 
     def fused_batch(self, bank, rows, training=False):
         l1 = Tensor(bank.layer(self.pair.lower)[rows])
@@ -110,9 +107,6 @@ class BaselineSystem:
 
     def state(self):
         return ()
-
-    def set_training(self, training):
-        pass
 
     def fused_batch(self, bank, rows, training=False):
         return Tensor(bank.layer(self.upper)[rows])

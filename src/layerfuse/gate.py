@@ -58,11 +58,6 @@ class BranchParams:
     conv2_bias: Tensor
     bn2: BatchNormState
 
-    def set_training(self, training):
-        mode = "train" if training else "eval"
-        self.bn1.mode = mode
-        self.bn2.mode = mode
-
     def state(self):
         """Every stored value by dotted name, running statistics included.
 
@@ -99,10 +94,6 @@ class GateParams:
     reduction: int
     global_branch: BranchParams
     local_branch: BranchParams
-
-    def set_training(self, training):
-        self.global_branch.set_training(training)
-        self.local_branch.set_training(training)
 
     def state(self):
         """Every stored value of both branches by dotted name."""
@@ -165,37 +156,38 @@ def init_gate_params(channels, reduction=4, scheme="kaiming", seed=0):
     )
 
 
-def _bottleneck(w, branch, pool):
+def _bottleneck(w, branch, pool, training):
     h = mean_pool_tokens(w) if pool else w
     h = conv1x1(h, branch.conv1_kernel, branch.conv1_bias)
-    h = relu(batch_norm(h, branch.bn1))
+    h = relu(batch_norm(h, branch.bn1, training))
     h = conv1x1(h, branch.conv2_kernel, branch.conv2_bias)
-    return batch_norm(h, branch.bn2)
+    return batch_norm(h, branch.bn2, training)
 
 
-def global_branch_forward(w, params, pool=True):
+def global_branch_forward(w, params, pool=True, training=False):
     """Global-branch weight map: (batch, 1, channels) when it pools tokens."""
-    return _bottleneck(w, params.global_branch, pool)
+    return _bottleneck(w, params.global_branch, pool, training)
 
 
-def local_branch_forward(w, params, pool=False):
+def local_branch_forward(w, params, pool=False, training=False):
     """Local-branch weight map: input-shaped unless it pools tokens."""
-    return _bottleneck(w, params.local_branch, pool)
+    return _bottleneck(w, params.local_branch, pool, training)
 
 
-def gate_forward(w, params, mode="sigmoid", variant="full"):
+def gate_forward(w, params, mode="sigmoid", variant="full", training=False):
     """Mixing weight from the sum of the two branches passed through a sigmoid.
 
     ``variant`` "full" pools tokens in the global branch only; the "global"
     ablation pools in both branches, so the gate is token-constant, and the
     "local" ablation pools in neither.  Returns the sigmoid map in "sigmoid"
-    mode, or the input scaled by it in "literal" mode.
+    mode, or the input scaled by it in "literal" mode.  ``training`` makes
+    every normalization use, and fold in, the statistics of this batch.
     """
     check_gate_mode(mode)
     check_variant(variant)
     pool_global, pool_local = _POOLING[variant]
     gate = sigmoid(broadcast_add(
-        global_branch_forward(w, params, pool_global),
-        local_branch_forward(w, params, pool_local),
+        global_branch_forward(w, params, pool_global, training),
+        local_branch_forward(w, params, pool_local, training),
     ))
     return elementwise_mul(w, gate) if mode == "literal" else gate

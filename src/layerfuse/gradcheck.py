@@ -124,13 +124,13 @@ def classification_pipeline(
     variant="full",
     mode="sigmoid",
     reduction=4,
-    training_norm=True,
     check_inputs=False,
 ):
     """Build (loss_fn, params) for the fused-features classification objective.
 
     The objective is the full chain: fuse two random layers, mean-pool, apply
     the linear head, and take softmax cross-entropy against random labels.
+    Normalization runs in training form, so gradients cross batch statistics.
     With ``check_inputs`` the two layer tensors join the checked parameters.
     """
     rng = rng_stream(seed, STREAM_CHECK)
@@ -139,11 +139,10 @@ def classification_pipeline(
     l2 = Tensor(rng.normal(size=shape))
     labels = rng.integers(0, classes, size=batch)
     gate = init_gate_params(channels, reduction=reduction, scheme="kaiming", seed=seed)
-    gate.set_training(training_norm)
     head = init_head(channels, classes, seed=seed)
 
     def loss_fn():
-        fused, _ = fuse_layers(l1, l2, gate, mode=mode, variant=variant)
+        fused, _ = fuse_layers(l1, l2, gate, mode, variant, training=True)
         features = mean_pool_tokens(fused)
         return softmax_cross_entropy(head.logits(features), labels)
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bank import LayerBank
+from .bank import LayerBank, check_document
 from .seeding import STREAM_TASK, rng_stream
 
 SOURCE_LANGUAGE = "src"
@@ -65,14 +65,8 @@ class SyntheticTaskSpec:
 
     @classmethod
     def from_dict(cls, doc):
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise TaskSpecError(f"unknown task spec fields: {sorted(unknown)}")
-        merged = dict(doc)
-        if "invariance" in merged:
-            merged["invariance"] = tuple(merged["invariance"])
-        return cls(**merged)
+        check_document(cls, doc, TaskSpecError, "task spec")
+        return cls(**doc)
 
 
 def _balanced_labels(rng, count, classes):

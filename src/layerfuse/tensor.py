@@ -45,12 +45,11 @@ class DegenerateBatchError(ValueError):
 class Tensor:
     """Float64 array plus the wiring for reverse-mode differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
 
@@ -59,13 +58,12 @@ class Tensor:
         return self.data.shape
 
     def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 def parameter(data):
-    """Leaf tensor that owns its storage and is registered as trainable."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+    """Leaf tensor that owns its storage, for a model's trainable values."""
+    return Tensor(np.array(data, dtype=np.float64))
 
 
 def _accumulate(node, grad):
@@ -279,13 +277,12 @@ def tensor_sum(t):
 class BatchNormState:
     """Learnable per-channel scale/shift plus running statistics.
 
-    ``mode`` selects between batch statistics ("train", which also updates
-    the running estimates with the configured momentum) and the stored
-    running statistics ("eval").  A state must not be shared across threads
-    while in training mode.
+    ``batch_norm`` with ``training=True`` updates the running estimates with
+    the configured momentum, so a state must not be shared across threads
+    in training calls.
     """
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1, mode="eval"):
+    def __init__(self, channels, eps=1e-5, momentum=0.1):
         if channels < 1:
             raise DimensionError("batch norm needs at least one channel")
         self.gamma = parameter(np.ones(channels))
@@ -294,7 +291,6 @@ class BatchNormState:
         self.running_var = np.ones(channels)
         self.eps = eps
         self.momentum = momentum
-        self.mode = mode
         self._validate()
 
     # Attributes that hold stored values; ``from_arrays`` takes them as keywords.
@@ -330,8 +326,6 @@ class BatchNormState:
             raise ValueError("batch norm momentum must lie in (0, 1)")
         if np.any(self.running_var < 0):
             raise ValueError("batch norm running variance must be non-negative")
-        if self.mode not in ("train", "eval"):
-            raise ValueError(f"batch norm mode must be 'train' or 'eval', got {self.mode!r}")
         self.eps = float(self.eps)
         self.momentum = float(self.momentum)
 
@@ -340,17 +334,15 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
-def batch_norm(w, state):
+def batch_norm(w, state, training=False):
     """Normalize each channel over all (batch, token) positions.
 
-    Training mode uses the population statistics of the current batch and
-    folds them into the running estimates; eval mode applies the stored
-    running statistics unchanged.  Gradients in training mode flow through
-    the batch statistics, not around them.
+    With ``training`` the call uses the population statistics of the current
+    batch and folds them into the running estimates; otherwise it applies
+    the stored running statistics unchanged.  Gradients in training calls
+    flow through the batch statistics, not around them.
     """
     _require_rank3("batch_norm", w)
-    if state.mode not in ("train", "eval"):
-        raise ValueError(f"batch norm mode must be 'train' or 'eval', got {state.mode!r}")
     if state.channels != w.data.shape[2]:
         raise DimensionError(
             f"batch_norm: input has {w.data.shape[2]} channels but state has "
@@ -358,7 +350,6 @@ def batch_norm(w, state):
         )
     x = w.data
     gamma, beta = state.gamma, state.beta
-    training = state.mode == "train"
     if training:
         if x.shape[0] * x.shape[1] == 1:
             raise DegenerateBatchError(

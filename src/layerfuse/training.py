@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bank import DataError
+from .bank import DataError, check_document
 # ClassifierHead lives beside the systems; it stays importable from here.
 from .fusion import BaselineSystem, ClassifierHead, FusionSystem, LayerPair, build_fusion_system, init_head
 from .seeding import STREAM_BATCHES, rng_stream
@@ -41,15 +41,11 @@ class TrainConfig:
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
 
-    def to_dict(self):
-        return dict(self.__dict__)
-
     @classmethod
-    def from_dict(cls, doc):
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown train config fields: {sorted(unknown)}")
-        return cls(**doc)
+    def from_dict(cls, doc, base=None):
+        """Config from a JSON object; fields it omits come from ``base`` or the defaults."""
+        check_document(cls, doc, ValueError, "train config")
+        return replace(cls() if base is None else base, **doc)
 
 
 def full_scale_config(**overrides):

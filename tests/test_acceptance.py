@@ -230,9 +230,9 @@ def test_criterion_6_similarity_probe():
 
 def test_criterion_7_normalization_statistics():
     rng = np.random.default_rng(7)
-    state = BatchNormState(6, mode="train")
+    state = BatchNormState(6)
     x = rng.normal(0.0, 10.0, size=(8, 5, 6))
-    out = batch_norm(Tensor(x), state).data
+    out = batch_norm(Tensor(x), state, training=True).data
     worst_mean = float(np.abs(out.mean(axis=(0, 1))).max())
     worst_var = float(np.abs(out.var(axis=(0, 1)) - 1.0).max())
     _criterion(

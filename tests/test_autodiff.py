@@ -167,16 +167,16 @@ class TestPerOperationGradients:
     def test_batch_norm_training_statistics(self):
         # Gradients must flow through the batch mean and variance.
         x = parameter(RNG.normal(size=(4, 2, 3)) * 2.0 + 1.0)
-        state = BatchNormState(3, mode="train")
+        state = BatchNormState(3)
         w = Tensor(RNG.normal(size=(4, 2, 3)))
         _op_check(
-            lambda: tensor_sum(elementwise_mul(batch_norm(x, state), w)),
+            lambda: tensor_sum(elementwise_mul(batch_norm(x, state, training=True), w)),
             {"x": x, "gamma": state.gamma, "beta": state.beta},
         )
 
     def test_batch_norm_eval(self):
         x = parameter(RNG.normal(size=(2, 3, 4)))
-        state = BatchNormState(4, mode="eval")
+        state = BatchNormState(4)
         state.running_mean = RNG.normal(size=4)
         state.running_var = RNG.uniform(0.5, 2.0, size=4)
         w = Tensor(RNG.normal(size=(2, 3, 4)))

@@ -211,6 +211,21 @@ class TestBankValidation:
         with pytest.raises(BankFormatError, match=f"{re.escape(str(path))}: {named}"):
             read_bank(path)
 
+    @pytest.mark.parametrize("field, values, named", [
+        ("language", "abcd", "manifest language must be a list"),
+        ("language", ["a", "b", ["c"], "d"], "language 2 is \\['c'\\]"),
+        ("language", ["a", 1, "b", "c"], "language 1 is 1"),
+        ("split", [["x"], None, "t", "t"], "split 0 is \\['x'\\]"),
+        ("split", ["t", "t", "t", None], "split 3 is None"),
+        ("split", {"t": 1, "u": 2, "v": 3, "w": 4}, "manifest split must be a list"),
+    ])
+    def test_bad_language_or_split_named(self, tmp_path, field, values, named):
+        path = tmp_path / "bad.bank"
+        manifest = {"labels": [0] * 4, "language": ["a"] * 4, "split": ["t"] * 4, field: values}
+        path.write_bytes(_raw_bank(manifest=json.dumps(manifest).encode()))
+        with pytest.raises(BankFormatError, match=f"{re.escape(str(path))}: {named}"):
+            read_bank(path)
+
     def test_largest_label_accepted(self, tmp_path):
         path = tmp_path / "big.bank"
         labels = [0, 1, 2**63 - 1, 0]

@@ -158,6 +158,47 @@ def test_train_config_unknown_field_rejected(workspace, tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--learning-rate", "-1", "learning_rate"),
+    ("--epochs", "-3", "epochs"),
+    ("--batch-size", "0", "batch_size"),
+])
+def test_train_flags_validated(workspace, tmp_path, capsys, flag, value, field):
+    params = tmp_path / "p.json"
+    rc = main(["train", "--src", str(workspace / "src.bank"), "--lower", "1",
+               flag, value, "--out", str(params)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not params.exists()
+
+
+@pytest.mark.parametrize("command, document, named", [
+    ("train", {"epochs": "2"}, "train config field epochs must be an integer"),
+    ("train", {"batch_size": True}, "train config field batch_size must be an integer"),
+    ("train", {"learning_rate": "0.1"}, "train config field learning_rate must be a number"),
+    ("train", [{"epochs": 2}], "train config must be a JSON object"),
+    ("gen-task", {"tokens": "8"}, "task spec field tokens must be an integer"),
+    ("gen-task", {"invariance": [0.5, "x"]}, "task spec field invariance must be a list of numbers"),
+    ("gen-task", [1, 2], "task spec must be a JSON object"),
+])
+def test_malformed_config_file_named(workspace, tmp_path, capsys, command, document, named):
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(document))
+    if command == "train":
+        outputs = [tmp_path / "p.json"]
+        argv = ["train", "--src", str(workspace / "src.bank"), "--lower", "1",
+                "--train-config", str(doc_path), "--out", str(outputs[0])]
+    else:
+        outputs = [tmp_path / "s.bank", tmp_path / "t.bank"]
+        argv = ["gen-task", "--spec", str(doc_path),
+                "--out-src", str(outputs[0]), "--out-tgt", str(outputs[1])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {doc_path}: {named}")
+    assert not any(path.exists() for path in outputs)
+
+
 def test_train_baseline(workspace, tmp_path):
     params = tmp_path / "base.json"
     rc = main([

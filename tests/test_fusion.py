@@ -135,6 +135,21 @@ class TestFusionSystem:
                                    Tensor(RNG.normal(size=(2, 5, 8))))
         assert weight.data.shape == (2, 1, 8)
 
+    def test_training_call_leaves_no_mode_behind(self):
+        # A training forward must not make a later plain call use batch
+        # statistics or move the running estimates.
+        system = build_fusion_system(LayerPair(1, 2), 8, seed=3)
+        l1 = Tensor(RNG.normal(size=(4, 3, 8)))
+        l2 = Tensor(RNG.normal(size=(4, 3, 8)))
+        system.forward(l1, l2, training=True)
+        before = [value.copy() for name, value in system.state() if "running_" in name]
+        fused, _ = fuse_layers(l1, l2, system.params)
+        after = [value for name, value in system.state() if "running_" in name]
+        assert len(after) == 8
+        for kept, now in zip(before, after):
+            npt.assert_array_equal(now, kept)
+        npt.assert_array_equal(fused.data, system.forward(l1, l2)[0].data)
+
     def test_invalid_variant_and_mode(self):
         with pytest.raises(ValueError):
             build_fusion_system(LayerPair(1, 2), 8, variant="none")

@@ -99,6 +99,19 @@ def test_spec_validation_errors():
         SyntheticTaskSpec.from_dict({"num_classes": 4, "bogus": 1})
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"tokens": "8"}, "field tokens must be an integer"),
+    ({"seed": True}, "field seed must be an integer"),
+    ({"noise_std": "0.1"}, "field noise_std must be a number"),
+    ({"invariance": "0.5"}, "field invariance must be a list of numbers"),
+    ({"invariance": [0.5, None, 0.9, 0.6, 0.3, 0.1]}, "field invariance must be a list"),
+    ([["tokens", 8]], "task spec must be a JSON object"),
+])
+def test_spec_from_dict_json_types(doc, named):
+    with pytest.raises(TaskSpecError, match=named):
+        SyntheticTaskSpec.from_dict(doc)
+
+
 def test_spec_round_trips_through_dict():
     spec = SyntheticTaskSpec(seed=12, noise_std=0.25)
     assert SyntheticTaskSpec.from_dict(spec.to_dict()) == spec

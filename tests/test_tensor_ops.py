@@ -203,17 +203,17 @@ class TestActivations:
 class TestBatchNorm:
     def test_two_value_channel(self):
         # mu = 2, population sigma^2 = 1 for values {1, 3}
-        state = BatchNormState(1, mode="train")
-        out = batch_norm(t([[[1.0]], [[3.0]]]), state)
+        state = BatchNormState(1)
+        out = batch_norm(t([[[1.0]], [[3.0]]]), state, training=True)
         npt.assert_allclose(out.data.reshape(-1), [-1.0, 1.0], atol=1e-4)
 
     def test_constant_channel_zeros(self):
-        state = BatchNormState(3, mode="train")
-        out = batch_norm(t(np.full((2, 4, 3), 5.5)), state)
+        state = BatchNormState(3)
+        out = batch_norm(t(np.full((2, 4, 3), 5.5)), state, training=True)
         npt.assert_array_equal(out.data, np.zeros((2, 4, 3)))
 
     def test_eval_identity_statistics(self):
-        state = BatchNormState(4, mode="eval")
+        state = BatchNormState(4)
         x = RNG.normal(size=(2, 3, 4)) + 1.0
         out = batch_norm(t(x), state)
         npt.assert_allclose(out.data, x, rtol=1e-5)
@@ -223,24 +223,24 @@ class TestBatchNorm:
             batch_norm(t(np.zeros((1, 2, 3))), BatchNormState(4))
 
     def test_degenerate_batch(self):
-        state = BatchNormState(3, mode="train")
+        state = BatchNormState(3)
         with pytest.raises(DegenerateBatchError):
-            batch_norm(t(np.zeros((1, 1, 3))), state)
+            batch_norm(t(np.zeros((1, 1, 3))), state, training=True)
 
     def test_eval_mode_allows_single_position(self):
-        out = batch_norm(t(np.ones((1, 1, 3))), BatchNormState(3, mode="eval"))
+        out = batch_norm(t(np.ones((1, 1, 3))), BatchNormState(3))
         assert out.data.shape == (1, 1, 3)
 
     def test_running_statistics_update(self):
-        state = BatchNormState(2, momentum=0.1, mode="train")
+        state = BatchNormState(2, momentum=0.1)
         x = RNG.normal(size=(4, 3, 2)) * 2.0 + 1.0
-        batch_norm(t(x), state)
+        batch_norm(t(x), state, training=True)
         npt.assert_allclose(state.running_mean, 0.9 * 0.0 + 0.1 * x.mean(axis=(0, 1)), rtol=1e-12)
         npt.assert_allclose(state.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 1)), rtol=1e-12)
         assert np.all(state.running_var >= 0.0)
 
     def test_no_update_in_eval_mode(self):
-        state = BatchNormState(2, mode="eval")
+        state = BatchNormState(2)
         batch_norm(t(RNG.normal(size=(4, 3, 2))), state)
         npt.assert_array_equal(state.running_mean, np.zeros(2))
         npt.assert_array_equal(state.running_var, np.ones(2))
@@ -248,9 +248,9 @@ class TestBatchNorm:
     def test_normalized_batch_statistics(self):
         # Aggregate batch statistics of the training-mode output: zero mean,
         # variance gamma^2 * sigma^2 / (sigma^2 + eps).
-        state = BatchNormState(5, mode="train")
+        state = BatchNormState(5)
         x = RNG.normal(0.0, 10.0, size=(6, 4, 5))
-        out = batch_norm(t(x), state)
+        out = batch_norm(t(x), state, training=True)
         assert np.abs(out.data.mean(axis=(0, 1))).max() < 1e-9
         assert np.abs(out.data.var(axis=(0, 1)) - 1.0).max() < 1e-6
 
@@ -267,8 +267,8 @@ class TestBatchNorm:
 
 def test_operations_stay_finite():
     x = RNG.normal(size=(3, 4, 5)) * 50.0
-    state = BatchNormState(5, mode="train")
-    chained = batch_norm(t(x), state)
+    state = BatchNormState(5)
+    chained = batch_norm(t(x), state, training=True)
     chained = sigmoid(broadcast_add(chained, mean_pool_tokens(chained)))
     chained = elementwise_mul(relu(chained), chained)
     assert np.isfinite(chained.data).all()

@@ -88,6 +88,15 @@ class TestAdamW:
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
 
+    def test_config_from_dict(self):
+        # An int is a valid float; omitted fields come from the base.
+        cfg = TrainConfig.from_dict({"learning_rate": 1, "epochs": 2}, full_scale_config(seed=3))
+        assert (cfg.learning_rate, cfg.epochs, cfg.seed) == (1, 2, 3)
+        for doc, named in [({"seed": 1.0}, "seed"), ({"eps": None}, "eps"), ([], "JSON object"),
+                           ({"epochs": -1}, "epochs")]:
+            with pytest.raises(ValueError, match=named):
+                TrainConfig.from_dict(doc)
+
     def test_full_scale_preset(self):
         cfg = full_scale_config(seed=3)
         assert cfg.learning_rate == 2e-5
