@@ -201,12 +201,15 @@ def read_bank(path):
             f"{path}: non-finite value at layer {layer + 1}, sentence {b}, "
             f"token {t}, channel {e}"
         )
-    return LayerBank(
-        layers=list(arr),
-        labels=np.asarray(manifest["labels"], dtype=np.int64),
-        languages=manifest["language"],
-        splits=manifest["split"],
-    )
+    try:
+        return LayerBank(
+            layers=list(arr),
+            labels=np.asarray(manifest["labels"], dtype=np.int64),
+            languages=manifest["language"],
+            splits=manifest["split"],
+        )
+    except DataError as err:
+        raise DataError(f"{path}: {err}") from err
 
 
 # Dataclass field type -> (check of a decoded JSON value, what the value must be).
@@ -236,15 +239,38 @@ def check_document(cls, doc, error, what):
 
 
 def _nest(items):
-    """Nested JSON objects from (dotted name, value) pairs; arrays become lists."""
+    """Nested dicts from (dotted name, value) pairs."""
     root = {}
     for dotted, value in items:
         *parents, leaf = dotted.split(".")
         node = root
         for key in parents:
             node = node.setdefault(key, {})
-        node[leaf] = value.tolist() if isinstance(value, np.ndarray) else value
+        node[leaf] = value
     return root
+
+
+def _render(value, pad=""):
+    """``json.dumps(value, sort_keys=True, indent=1)`` at indent ``pad``, arrays as lists.
+
+    Containers are non-empty, as in every params document.  A float row is
+    joined from ``float.__repr__``, which is how ``json`` renders a finite
+    float, so the bytes match without its pure-Python encoder walking every
+    value.
+    """
+    inner = pad + " "
+    if isinstance(value, dict):
+        items = [f"{json.dumps(key)}: {_render(value[key], inner)}" for key in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, np.ndarray):
+        if value.ndim == 1:
+            items = list(map(float.__repr__, value.tolist()))
+        else:
+            items = [_render(row, inner) for row in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value, allow_nan=False)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def save_params(system, head, path):
@@ -268,7 +294,7 @@ def save_params(system, head, path):
         **_nest(named.items()),
     }
     try:
-        text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+        text = _render(doc)
     except ValueError as err:
         raise ValueError(f"{path}: refusing to write non-finite parameters ({err})") from err
     _atomic_write(path, text.encode("utf-8"))

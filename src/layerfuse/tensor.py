@@ -66,11 +66,13 @@ def parameter(data):
     return Tensor(np.array(data, dtype=np.float64))
 
 
-def _accumulate(node, grad):
-    # Never mutate a gradient array in place: it may be shared with another
-    # node's incoming gradient.
+def _accumulate(node, grad, copy=False):
+    # No two nodes' gradients share memory.  A first gradient is stored as
+    # given, so callers pass an array they have just allocated, or set
+    # ``copy`` when they pass their own incoming gradient through; a later
+    # one is added out of place, never into a stored array.
     if node.grad is None:
-        node.grad = np.array(grad, dtype=np.float64)
+        node.grad = grad.copy() if copy else grad
     else:
         node.grad = node.grad + grad
 
@@ -142,7 +144,7 @@ def broadcast_add(a, b):
     def _bw(g):
         for side in (a, b):
             if side.data.shape[1] == g.shape[1]:
-                _accumulate(side, g)
+                _accumulate(side, g, copy=True)
             else:
                 _accumulate(side, g.sum(axis=1, keepdims=True))
 
@@ -179,7 +181,7 @@ def sub(a, b):
         )
 
     def _bw(g):
-        _accumulate(a, g)
+        _accumulate(a, g, copy=True)
         _accumulate(b, -g)
 
     return _node(a.data - b.data, (a, b), _bw)
@@ -199,7 +201,7 @@ def shift(t, offset):
     """Add a constant to every entry."""
 
     def _bw(g):
-        _accumulate(t, g)
+        _accumulate(t, g, copy=True)
 
     return _node(t.data + float(offset), (t,), _bw)
 
@@ -252,11 +254,9 @@ def relu(t):
 def sigmoid(t):
     """Numerically stable logistic map with outputs strictly inside (0, 1)."""
     x = t.data
-    values = np.empty_like(x)
-    pos = x >= 0
-    values[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    values[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: exp never overflows.
+    e = np.exp(-np.abs(x))
+    values = np.where(x >= 0, 1.0, e) / (1.0 + e)
     np.clip(values, SIGMOID_FLOOR, SIGMOID_CEIL, out=values)
 
     def _bw(g):

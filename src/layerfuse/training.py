@@ -32,7 +32,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ValueError("learning_rate must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
@@ -40,6 +40,10 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be non-negative")
 
     @classmethod
     def from_dict(cls, doc, base=None):

@@ -5,6 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from layerfuse import (
+    GATE_MODES,
+    VARIANTS,
     BatchNormState,
     Tensor,
     backward,
@@ -15,7 +17,9 @@ from layerfuse import (
     mean_pool_tokens,
     parameter,
     relu,
+    shift,
     sigmoid,
+    sub,
     tensor_sum,
 )
 from layerfuse.gradcheck import (
@@ -23,6 +27,7 @@ from layerfuse.gradcheck import (
     classification_pipeline,
     finite_difference_check,
 )
+from layerfuse.tensor import _topological_order
 
 RNG = np.random.default_rng(99)
 
@@ -204,6 +209,35 @@ def test_pipeline_variants(variant, mode):
     )
     report = finite_difference_check(loss_fn, params, step=1e-5, rtol=1e-4)
     assert report.passed, report.format_table()
+
+
+def _assert_no_shared_gradients(loss):
+    # First gradients are stored without a copy; passed-through ones must still copy.
+    grads = [node.grad for node in _topological_order(loss)]
+    assert all(grad is not None for grad in grads)
+    for i, first in enumerate(grads):
+        for second in grads[i + 1:]:
+            assert not np.shares_memory(first, second)
+
+
+def test_pass_through_gradients_are_copies():
+    x = parameter(RNG.normal(size=(2, 3, 4)))
+    y = parameter(RNG.normal(size=(2, 3, 4)))
+    loss = tensor_sum(shift(sub(broadcast_add(x, y), y), 1.0))
+    backward(loss)
+    _assert_no_shared_gradients(loss)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("mode", GATE_MODES)
+def test_gradients_own_their_memory(variant, mode):
+    loss_fn, params = classification_pipeline(
+        7, shape=(2, 4, 8), classes=3, variant=variant, mode=mode, check_inputs=True
+    )
+    loss = loss_fn()
+    backward(loss)
+    _assert_no_shared_gradients(loss)
+    assert all(p.grad.flags.writeable for p in params.values())
 
 
 def test_report_table_format():

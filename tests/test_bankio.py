@@ -7,6 +7,9 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from layerfuse import (
     BaselineSystem,
@@ -194,6 +197,18 @@ class TestBankValidation:
         manifest = json.dumps({"labels": [0], "language": ["a"], "split": ["t"]}).encode()
         path.write_bytes(_raw_bank(manifest=manifest))
         with pytest.raises((BankFormatError, DataError)):
+            read_bank(path)
+
+    @pytest.mark.parametrize("field, named", [
+        ("labels", "labels"), ("language", "languages"), ("split", "splits"),
+    ])
+    def test_manifest_length_mismatch_names_file(self, tmp_path, field, named):
+        path = tmp_path / "bad.bank"
+        manifest = {"labels": [0] * 4, "language": ["a"] * 4, "split": ["t"] * 4}
+        manifest[field] = manifest[field][:1]
+        path.write_bytes(_raw_bank(manifest=json.dumps(manifest).encode()))
+        message = f"{re.escape(str(path))}: manifest field {named} has 1 entries for 4 sentences"
+        with pytest.raises(DataError, match=message):
             read_bank(path)
 
     @pytest.mark.parametrize("labels, named", [
@@ -386,3 +401,50 @@ class TestParamsRoundtrip:
         path.write_text("{broken")
         with pytest.raises(ParamsFormatError, match="JSON"):
             load_params(path)
+
+
+def _json_oracle(system, head):
+    """The v1 parameter document rendered by ``json`` itself, arrays as lists."""
+    doc = {"format": "layerfuse-params", "version": 1, "system": system.describe(), "gate": None}
+    for dotted, value in [*((f"gate.{n}", v) for n, v in system.state()), *head.parameters().items()]:
+        *parents, leaf = dotted.split(".")
+        node = doc
+        for key in parents:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        data = value.data if isinstance(value, Tensor) else value
+        node[leaf] = data.tolist() if isinstance(data, np.ndarray) else data
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+# Signed zero, the smallest subnormal, tiny and large magnitudes, integral floats.
+_PARAM_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 1.0, -3.0, 2.0**53]),
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.sampled_from([1, 2, 3, 5, 7]),  # reduction 4: below it, and odd
+    variant=st.sampled_from(["full", "global", "local"]),
+    mode=st.sampled_from(["sigmoid", "literal"]),
+    baseline=st.booleans(),
+    data=st.data(),
+)
+def test_params_writer_matches_json_oracle(tmp_path_factory, width, variant, mode, baseline, data):
+    if baseline:
+        system = BaselineSystem(upper=2)
+    else:
+        system = build_fusion_system(LayerPair(1, 2), width, variant=variant, mode=mode, seed=0)
+    head = init_head(width, 3, seed=0)
+    state = [*(v for _, v in system.state()), *head.parameters().values()]
+    for value in state:
+        array = value.data if isinstance(value, Tensor) else value
+        if isinstance(array, np.ndarray):
+            array[...] = data.draw(hnp.arrays(np.float64, array.shape, elements=_PARAM_VALUES))
+    path = tmp_path_factory.mktemp("params") / "params.json"
+    save_params(system, head, path)
+    assert path.read_text(encoding="utf-8") == _json_oracle(system, head)

@@ -160,8 +160,11 @@ def test_train_config_unknown_field_rejected(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value, field", [
     ("--learning-rate", "-1", "learning_rate"),
+    ("--learning-rate", "nan", "learning_rate"),
     ("--epochs", "-3", "epochs"),
     ("--batch-size", "0", "batch_size"),
+    ("--weight-decay", "-50", "weight_decay"),
+    ("--weight-decay", "nan", "weight_decay"),
 ])
 def test_train_flags_validated(workspace, tmp_path, capsys, flag, value, field):
     params = tmp_path / "p.json"
@@ -178,6 +181,7 @@ def test_train_flags_validated(workspace, tmp_path, capsys, flag, value, field):
     ("train", {"batch_size": True}, "train config field batch_size must be an integer"),
     ("train", {"learning_rate": "0.1"}, "train config field learning_rate must be a number"),
     ("train", [{"epochs": 2}], "train config must be a JSON object"),
+    ("train", {"eps": 0}, "eps must be positive"),
     ("gen-task", {"tokens": "8"}, "task spec field tokens must be an integer"),
     ("gen-task", {"invariance": [0.5, "x"]}, "task spec field invariance must be a list of numbers"),
     ("gen-task", [1, 2], "task spec must be a JSON object"),

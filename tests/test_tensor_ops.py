@@ -3,6 +3,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from layerfuse import (
     BatchNormState,
@@ -19,6 +22,7 @@ from layerfuse import (
     sigmoid,
     sub,
 )
+from layerfuse.tensor import SIGMOID_CEIL, SIGMOID_FLOOR
 
 RNG = np.random.default_rng(1234)
 
@@ -198,6 +202,31 @@ class TestActivations:
         x = RNG.normal(size=(4, 4, 4)) * 100.0
         values = sigmoid(t(x)).data
         assert np.all(values > 0.0) and np.all(values < 1.0)
+
+
+def _masked_sigmoid(x):
+    """The stable logistic map by boolean masks: the reference for ``sigmoid``."""
+    values = np.empty_like(x)
+    pos = x >= 0
+    values[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    values[~pos] = ex / (1.0 + ex)
+    return np.clip(values, SIGMOID_FLOOR, SIGMOID_CEIL)
+
+
+_SIGMOID_EDGES = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf]
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=3, max_dims=3, max_side=6),
+    elements=st.one_of(st.sampled_from(_SIGMOID_EDGES), st.floats(allow_nan=False)),
+))
+def test_sigmoid_bit_identical_to_masked_formula(x):
+    values = sigmoid(t(x)).data
+    assert values.tobytes() == _masked_sigmoid(x).tobytes()
+    assert np.all(values > 0.0) and np.all(values < 1.0)
 
 
 class TestBatchNorm:

@@ -93,7 +93,8 @@ class TestAdamW:
         cfg = TrainConfig.from_dict({"learning_rate": 1, "epochs": 2}, full_scale_config(seed=3))
         assert (cfg.learning_rate, cfg.epochs, cfg.seed) == (1, 2, 3)
         for doc, named in [({"seed": 1.0}, "seed"), ({"eps": None}, "eps"), ([], "JSON object"),
-                           ({"epochs": -1}, "epochs")]:
+                           ({"epochs": -1}, "epochs"), ({"eps": 0}, "eps"),
+                           ({"weight_decay": -0.5}, "weight_decay")]:
             with pytest.raises(ValueError, match=named):
                 TrainConfig.from_dict(doc)
 
