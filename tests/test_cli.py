@@ -181,10 +181,10 @@ def test_train_flags_validated(workspace, tmp_path, capsys, flag, value, field):
     ("train", {"batch_size": True}, "train config field batch_size must be an integer"),
     ("train", {"learning_rate": "0.1"}, "train config field learning_rate must be a number"),
     ("train", [{"epochs": 2}], "train config must be a JSON object"),
-    ("train", {"eps": 0}, "eps must be positive"),
     ("gen-task", {"tokens": "8"}, "task spec field tokens must be an integer"),
     ("gen-task", {"invariance": [0.5, "x"]}, "task spec field invariance must be a list of numbers"),
     ("gen-task", [1, 2], "task spec must be a JSON object"),
+    ("train", {"eps": 0}, "eps must be positive"),
 ])
 def test_malformed_config_file_named(workspace, tmp_path, capsys, command, document, named):
     doc_path = tmp_path / "doc.json"
