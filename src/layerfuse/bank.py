@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import BaselineSystem, ClassifierHead, FusionSystem, LayerPair
+from .fusion import BaselineSystem, ClassifierHead, FusionSystem, LayerPair, stored_values
 from .gate import BranchParams, GateParams
 from .tensor import Tensor, parameter
 
@@ -78,10 +78,13 @@ class LayerBank:
                 )
         self.labels = np.asarray(self.labels, dtype=np.int64)
         sentences = shape[0]
-        for name, seq in (("labels", self.labels), ("languages", self.languages), ("splits", self.splits)):
+        # A bank file's manifest field, and the argument that carries it here.
+        for name, argument in (("labels", "labels"), ("language", "languages"), ("split", "splits")):
+            seq = getattr(self, argument)
             if len(seq) != sentences:
                 raise DataError(
-                    f"manifest field {name} has {len(seq)} entries for {sentences} sentences"
+                    f"manifest field {name} has {len(seq)} entries for {sentences} sentences "
+                    f"(LayerBank {argument})"
                 )
         if self.labels.size and self.labels.min() < 0:
             raise DataError("labels must be non-negative integers")
@@ -281,8 +284,10 @@ def save_params(system, head, path):
     rendered with full shortest-roundtrip precision, so reloading reproduces
     every value bit-exactly; a non-finite value is an error naming its path.
     """
-    named = {f"gate.{name}": value for name, value in system.state()} | head.parameters()
-    named = {name: value.data if isinstance(value, Tensor) else value for name, value in named.items()}
+    named = {
+        name: value.data if isinstance(value, Tensor) else value
+        for name, value in stored_values(system, head).items()
+    }
     for name, value in named.items():
         if not np.isfinite(value).all():
             raise ValueError(f"{path}: refusing to write non-finite parameter {name}")

@@ -115,6 +115,11 @@ class BaselineSystem:
         return {}
 
 
+def stored_values(system, head):
+    """Every stored value by its dotted name in a params file: ``gate.*`` then ``head.*``."""
+    return {f"gate.{name}": value for name, value in system.state()} | head.parameters()
+
+
 def build_fusion_system(
     pair, channels, variant="full", mode="sigmoid", seed=0, reduction=4, scheme="kaiming"
 ):

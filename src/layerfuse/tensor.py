@@ -78,8 +78,14 @@ def _accumulate(node, grad, copy=False):
 
 
 def _node(data, parents, backward):
-    """Graph node over ``data``; ``backward(g)`` sends its gradient to ``parents``."""
-    node = Tensor(data)
+    """Graph node over ``data``; ``backward(g)`` sends its gradient to ``parents``.
+
+    Every op passes a float64 ndarray it has just made, so ``Tensor``'s
+    conversion is skipped.
+    """
+    node = Tensor.__new__(Tensor)
+    node.data = data
+    node.grad = None
     node._parents = parents
     node._backward = backward
     return node
@@ -212,9 +218,11 @@ def mean_pool_tokens(w):
     tokens = w.data.shape[1]
 
     def _bw(g):
-        _accumulate(w, np.broadcast_to(g / tokens, w.data.shape).copy())
+        _accumulate(w, np.repeat(g / tokens, tokens, axis=1))
 
-    return _node(w.data.mean(axis=1, keepdims=True), (w,), _bw)
+    # The sum and divide that ``ndarray.mean`` runs, without its Python layer:
+    # the same bits.
+    return _node(np.add.reduce(w.data, axis=1, keepdims=True) / tokens, (w,), _bw)
 
 
 def conv1x1(w, kernel, bias):
@@ -257,7 +265,8 @@ def sigmoid(t):
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: exp never overflows.
     e = np.exp(-np.abs(x))
     values = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    np.clip(values, SIGMOID_FLOOR, SIGMOID_CEIL, out=values)
+    np.maximum(values, SIGMOID_FLOOR, out=values)
+    np.minimum(values, SIGMOID_CEIL, out=values)
 
     def _bw(g):
         _accumulate(t, g * values * (1.0 - values))
@@ -356,26 +365,31 @@ def batch_norm(w, state, training=False):
                 "training-mode batch_norm needs more than one (batch, token) "
                 f"position, got input shape {x.shape}"
             )
-        mean = x.mean(axis=(0, 1))
-        var = x.var(axis=(0, 1))
+        # The sum, divide, subtract, square and sum that ``ndarray.mean`` and
+        # ``ndarray.var`` run, without their Python layer: the same bits.
+        count = x.shape[0] * x.shape[1]
+        mean = np.add.reduce(x, axis=(0, 1)) / count
+        centered = x - mean
+        var = np.add.reduce(centered * centered, axis=(0, 1)) / count
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        x_hat = (x - mean) * inv_std
+        x_hat = centered * inv_std
         m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mean
-        state.running_var = (1.0 - m) * state.running_var + m * var
+        for running, batch in ((state.running_mean, mean), (state.running_var, var)):
+            running *= 1.0 - m
+            running += m * batch
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
         x_hat = (x - state.running_mean) * inv_std
 
     def _bw(g):
-        _accumulate(gamma, (g * x_hat).sum(axis=(0, 1)))
-        _accumulate(beta, g.sum(axis=(0, 1)))
+        g_x_hat = np.add.reduce(g * x_hat, axis=(0, 1))
+        g_sum = np.add.reduce(g, axis=(0, 1))
         if training:
-            gw = gamma.data * inv_std * (
-                g - g.mean(axis=(0, 1)) - x_hat * (g * x_hat).mean(axis=(0, 1))
-            )
+            gw = gamma.data * inv_std * (g - g_sum / count - x_hat * (g_x_hat / count))
         else:
             gw = g * (gamma.data * inv_std)
+        _accumulate(gamma, g_x_hat)
+        _accumulate(beta, g_sum)
         _accumulate(w, gw)
 
     return _node(gamma.data * x_hat + beta.data, (w, gamma, beta), _bw)

@@ -8,9 +8,17 @@ import numpy as np
 
 from .bank import DataError, check_document
 # ClassifierHead lives beside the systems; it stays importable from here.
-from .fusion import BaselineSystem, ClassifierHead, FusionSystem, LayerPair, build_fusion_system, init_head
+from .fusion import (
+    BaselineSystem,
+    ClassifierHead,
+    FusionSystem,
+    LayerPair,
+    build_fusion_system,
+    init_head,
+    stored_values,
+)
 from .seeding import STREAM_BATCHES, rng_stream
-from .tensor import DimensionError, _accumulate, _node, backward, mean_pool_tokens
+from .tensor import DimensionError, Tensor, _accumulate, _node, backward, mean_pool_tokens
 
 
 @dataclass
@@ -88,16 +96,29 @@ def softmax_cross_entropy(logits, labels):
 
 
 class AdamW:
-    """Adam moments with decoupled weight decay.
+    """Adam moments with decoupled weight decay (Loshchilov & Hutter, ICLR 2019).
 
     Update: theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta.
+
+    The optimizer adopts its parameters' storage: their values move into one
+    float64 vector ``flat`` and each ``p.data`` becomes a view into it, so a
+    step is a few whole-vector ops, written in place.
     """
 
     def __init__(self, params, config):
-        self._params = dict(params)
+        self._params = list(dict(params).values())
         self._config = config
-        self._m = {name: np.zeros_like(p.data) for name, p in self._params.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in self._params.items()}
+        self.flat = np.concatenate([p.data.reshape(-1) for p in self._params] or [np.zeros(0)])
+        self._grad = np.zeros_like(self.flat)
+        self._grads = []
+        offset = 0
+        for p in self._params:
+            stop = offset + p.data.size
+            p.data = self.flat[offset:stop].reshape(p.data.shape)
+            self._grads.append(self._grad[offset:stop].reshape(p.data.shape))
+            offset = stop
+        self._m = np.zeros_like(self.flat)
+        self._v = np.zeros_like(self.flat)
         self._steps = 0
 
     def step(self):
@@ -105,16 +126,31 @@ class AdamW:
         self._steps += 1
         correct1 = 1.0 - cfg.beta1 ** self._steps
         correct2 = 1.0 - cfg.beta2 ** self._steps
-        for name, p in self._params.items():
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self._m[name] = cfg.beta1 * self._m[name] + (1.0 - cfg.beta1) * grad
-            self._v[name] = cfg.beta2 * self._v[name] + (1.0 - cfg.beta2) * grad * grad
-            step = (self._m[name] / correct1) / (np.sqrt(self._v[name] / correct2) + cfg.eps)
-            p.data = (
-                p.data
-                - cfg.learning_rate * step
-                - cfg.learning_rate * cfg.weight_decay * p.data
-            )
+        for p, grad in zip(self._params, self._grads):
+            if p.grad is None:
+                grad.fill(0.0)  # a parameter the loss does not reach
+            else:
+                grad[...] = p.grad
+        # The per-tensor expressions in their order, as in-place vector ops:
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        # step = (m/c1) / (sqrt(v/c2) + eps), p = p - lr*step - lr*wd*p.
+        # The gradient buffer and one temporary are the only scratch.
+        g, m, v, p = self._grad, self._m, self._v, self.flat
+        m *= cfg.beta1
+        m += g * (1.0 - cfg.beta1)
+        v *= cfg.beta2
+        t = g * (1.0 - cfg.beta2)
+        t *= g
+        v += t
+        np.divide(v, correct2, out=t)
+        np.sqrt(t, out=t)
+        t += cfg.eps
+        np.divide(m, correct1, out=g)
+        g /= t
+        g *= cfg.learning_rate
+        np.multiply(p, cfg.learning_rate * cfg.weight_decay, out=t)
+        p -= g
+        p -= t
 
 
 def _batch_loss(system, head, bank, rows, training):
@@ -123,13 +159,22 @@ def _batch_loss(system, head, bank, rows, training):
     return softmax_cross_entropy(head.logits(features), bank.labels[rows])
 
 
+def _raise_non_finite(named, epoch, batch):
+    for name, value in named.items():
+        if not np.isfinite(value.data if isinstance(value, Tensor) else value).all():
+            raise ValueError(
+                f"training diverged: non-finite {name} at epoch {epoch}, batch {batch}"
+            )
+
+
 def train(system, head, bank, cfg):
     """Minimize softmax cross-entropy on the bank's train split.
 
     Batches are reshuffled each epoch from a seed-derived stream, the last
     partial batch is kept (a one-row tail joins the batch before it), and
-    normalization runs in training mode.  A non-finite batch loss stops the
-    run with an error naming the epoch and batch.  Returns the per-epoch mean
+    normalization runs in training mode.  A non-finite batch loss, parameter
+    or running statistic stops the run with an error naming the epoch, batch
+    and (for a stored value) its dotted name.  Returns the per-epoch mean
     loss curve; parameters are updated in place.
     """
     train_rows = bank.split_indices("train")
@@ -140,8 +185,11 @@ def train(system, head, bank, cfg):
     if isinstance(system, FusionSystem):
         bank.layer(system.pair.lower)
         bank.layer(system.pair.upper)
-    params = {**system.parameters(), **head.parameters()}
-    optimizer = AdamW(params, cfg)
+    optimizer = AdamW({**system.parameters(), **head.parameters()}, cfg)
+    named = stored_values(system, head)
+    # batch_norm updates the running statistics in place, so these stay
+    # current; the empty leading array lets a baseline concatenate none.
+    running = [np.zeros(0), *(v for v in named.values() if isinstance(v, np.ndarray))]
     starts = list(range(0, train_rows.size, cfg.batch_size))
     if cfg.batch_size > 1 and train_rows.size - starts[-1] == 1:
         starts.pop()  # training-mode normalization rejects a one-row batch
@@ -160,6 +208,10 @@ def train(system, head, bank, cfg):
                 )
             backward(loss)
             optimizer.step()
+            # One check over the adopted parameters, one over the running statistics.
+            finite = np.isfinite(optimizer.flat).all() and np.isfinite(np.concatenate(running)).all()
+            if not finite:
+                _raise_non_finite(named, epoch, batch)
             total += float(loss.data) * rows.size
         curve.append(total / permuted.size)
     return curve
@@ -251,6 +303,19 @@ def sweep_row(source, target, lower, upper, variant, mode, cfg):
     )
 
 
+# The row runner of a sweep worker process, set once by the pool's initializer.
+_runner = None
+
+
+def _adopt_runner(run):
+    global _runner
+    _runner = run
+
+
+def _run_row(lower):
+    return _runner(lower)
+
+
 def layer_sweep(source, target, layers, cfg, variant="full", mode="sigmoid", upper=None, jobs=1):
     """Train and evaluate the baseline plus one fused system per lower layer.
 
@@ -276,7 +341,11 @@ def layer_sweep(source, target, layers, cfg, variant="full", mode="sigmoid", upp
     if jobs <= 1:
         rows = [run(lower) for lower in lowers]
     else:
-        # The pool starts every worker up front, so never more than there are rows.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(lowers))) as pool:
-            rows = list(pool.map(run, lowers))
+        # The pool starts every worker up front, so never more than there are
+        # rows.  Each worker receives ``run`` and its banks once, at start-up
+        # (inherited, not pickled, under fork); a task is just a layer index.
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(jobs, len(lowers)), initializer=_adopt_runner, initargs=(run,)
+        ) as pool:
+            rows = list(pool.map(_run_row, lowers))
     return SweepReport(upper=upper, variant=variant, mode=mode, seed=cfg.seed, rows=rows)

@@ -200,7 +200,7 @@ class TestBankValidation:
             read_bank(path)
 
     @pytest.mark.parametrize("field, named", [
-        ("labels", "labels"), ("language", "languages"), ("split", "splits"),
+        ("labels", "labels"), ("language", "language"), ("split", "split"),
     ])
     def test_manifest_length_mismatch_names_file(self, tmp_path, field, named):
         path = tmp_path / "bad.bank"

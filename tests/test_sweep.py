@@ -1,6 +1,7 @@
 """Layer sweep protocol: structure, controls, and determinism."""
 
 import concurrent.futures
+import pickle
 
 import pytest
 
@@ -67,8 +68,9 @@ def test_pool_capped_at_row_count(banks, report, monkeypatch):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -83,6 +85,33 @@ def test_pool_capped_at_row_count(banks, report, monkeypatch):
     source, target = banks
     pooled = layer_sweep(source, target, range(1, 5), CFG, jobs=64)
     assert sizes == [len(report.rows)]
+    assert emit_report(pooled, "csv") == emit_report(report, "csv")
+
+
+def test_pool_tasks_carry_no_bank(banks, report, monkeypatch):
+    # Each task crosses a pickle round trip, as it would to a worker; the
+    # banks reach the workers once, through the initializer.
+    task_bytes = []
+
+    class PicklingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            tasks = [pickle.dumps((fn, item)) for item in items]
+            task_bytes.extend(len(task) for task in tasks)
+            return [fn(item) for fn, item in map(pickle.loads, tasks)]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+    source, target = banks
+    pooled = layer_sweep(source, target, range(1, 5), CFG, jobs=2)
+    assert len(task_bytes) == len(report.rows) and max(task_bytes) < 1024
     assert emit_report(pooled, "csv") == emit_report(report, "csv")
 
 

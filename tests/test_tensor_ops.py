@@ -3,7 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,7 +21,9 @@ from layerfuse import (
     relu,
     sigmoid,
     sub,
+    tensor_sum,
 )
+from layerfuse.tensor import backward
 from layerfuse.tensor import SIGMOID_CEIL, SIGMOID_FLOOR
 
 RNG = np.random.default_rng(1234)
@@ -141,6 +143,27 @@ class TestMeanPool:
             rtol=1e-13,
             atol=1e-15,
         )
+
+
+def _pull_back(out, g):
+    """Run backward so that ``out`` receives exactly ``g`` as its gradient."""
+    backward(tensor_sum(elementwise_mul(out, t(g))))
+
+
+_moderate = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mean_pool_bit_identical_to_mean_and_broadcast(data):
+    x = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_side=6),
+                             elements=_moderate))
+    g = data.draw(hnp.arrays(np.float64, (x.shape[0], 1, x.shape[2]), elements=_moderate))
+    w = t(x)
+    out = mean_pool_tokens(w)
+    _pull_back(out, g)
+    assert out.data.tobytes() == x.mean(axis=1, keepdims=True).tobytes()
+    assert w.grad.tobytes() == np.broadcast_to(g / x.shape[1], x.shape).tobytes()
 
 
 class TestConv1x1:
@@ -292,6 +315,71 @@ class TestBatchNorm:
             BatchNormState.from_arrays([1.0], [0.0], [0.0], [-1.0], 1e-5, 0.1)
         with pytest.raises(DimensionError):
             BatchNormState.from_arrays([1.0, 1.0], [0.0], [0.0], [1.0], 1e-5, 0.1)
+
+
+def _reference_batch_norm(x, g, gamma, beta, running_mean, running_var, eps, momentum, training):
+    """The ``ndarray.mean``/``ndarray.var`` form of batch_norm and its gradients.
+
+    Returns (output, input gradient, gamma gradient, beta gradient, running
+    mean, running variance).
+    """
+    if training:
+        mean = x.mean(axis=(0, 1))
+        var = x.var(axis=(0, 1))
+        inv_std = 1.0 / np.sqrt(var + eps)
+        x_hat = (x - mean) * inv_std
+        running_mean = (1.0 - momentum) * running_mean + momentum * mean
+        running_var = (1.0 - momentum) * running_var + momentum * var
+        gx = gamma * inv_std * (g - g.mean(axis=(0, 1)) - x_hat * (g * x_hat).mean(axis=(0, 1)))
+    else:
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        x_hat = (x - running_mean) * inv_std
+        gx = g * (gamma * inv_std)
+    out = gamma * x_hat + beta
+    return out, gx, (g * x_hat).sum(axis=(0, 1)), g.sum(axis=(0, 1)), running_mean, running_var
+
+
+@st.composite
+def _batch_norm_case(draw):
+    batch, tokens = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    training = draw(st.booleans()) and batch * tokens > 1
+    channels = draw(st.integers(1, 4))
+
+    def vector(elements):
+        return draw(hnp.arrays(np.float64, channels, elements=elements))
+
+    x = draw(hnp.arrays(np.float64, (batch, tokens, channels), elements=_moderate))
+    g = draw(hnp.arrays(np.float64, (batch, tokens, channels), elements=_moderate))
+    stats = (vector(_moderate), vector(st.floats(0.0, 1e3)))
+    return x, g, vector(_moderate), vector(_moderate), stats, training
+
+
+def _fixed_case(shape, training):
+    rng = np.random.default_rng(sum(shape))
+    channels = shape[2]
+    stats = (rng.normal(size=channels), rng.uniform(0.5, 2.0, size=channels))
+    return (rng.normal(size=shape), rng.normal(size=shape), rng.normal(size=channels),
+            rng.normal(size=channels), stats, training)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batch_norm_case())
+@example(case=_fixed_case((3, 1, 2), training=True))  # T = 1, B >= 2
+@example(case=_fixed_case((2, 3, 1), training=True))  # C = 1
+@example(case=_fixed_case((2, 1, 1), training=False))
+def test_batch_norm_bit_identical_to_mean_var_form(case):
+    x, g, gamma, beta, (running_mean, running_var), training = case
+    state = BatchNormState.from_arrays(gamma, beta, running_mean, running_var, 1e-5, 0.1)
+    w = t(x)
+    out = batch_norm(w, state, training=training)
+    _pull_back(out, g)
+    expected = _reference_batch_norm(
+        x, g, gamma, beta, running_mean, running_var, 1e-5, 0.1, training
+    )
+    got = (out.data, w.grad, state.gamma.grad, state.beta.grad,
+           state.running_mean, state.running_var)
+    for value, reference in zip(got, expected):
+        assert value.tobytes() == reference.tobytes()
 
 
 def test_operations_stay_finite():

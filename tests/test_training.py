@@ -3,11 +3,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerfuse import (
     AdamW,
     BaselineSystem,
     DataError,
+    LayerBank,
     LayerPair,
     SyntheticTaskSpec,
     Tensor,
@@ -79,6 +82,44 @@ class TestAdamW:
         p.grad = np.array([0.0])
         AdamW({"p": p}, cfg).step()
         assert p.data[0] == 4.0 - 0.1 * 0.01 * 4.0
+
+    def test_matches_per_tensor_update(self):
+        # Three steps of the flat optimizer against the per-tensor update it
+        # replaced; "skipped" has no gradient on the second step.
+        cfg = TrainConfig(learning_rate=0.05, weight_decay=0.1)
+        rng = np.random.default_rng(8)
+        shapes = {"kernel": (3, 4), "bias": (4,), "skipped": (2,)}
+        params = {name: parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
+        reference = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        optimizer = AdamW(params, cfg)
+        for step in range(1, 4):
+            correct1, correct2 = 1.0 - cfg.beta1 ** step, 1.0 - cfg.beta2 ** step
+            for name, p in params.items():
+                p.grad = None if (name, step) == ("skipped", 2) else rng.normal(size=shapes[name])
+                grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+                m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * grad
+                v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * grad * grad
+                update = (m[name] / correct1) / (np.sqrt(v[name] / correct2) + cfg.eps)
+                reference[name] = (
+                    reference[name]
+                    - cfg.learning_rate * update
+                    - cfg.learning_rate * cfg.weight_decay * reference[name]
+                )
+            optimizer.step()
+            for name, p in params.items():
+                assert p.data.tobytes() == reference[name].tobytes(), (name, step)
+
+    def test_parameters_are_views_of_one_buffer(self):
+        system = build_fusion_system(LayerPair(1, 2), 8, seed=0)
+        params = {**system.parameters(), **init_head(8, 3, seed=0).parameters()}
+        before = {name: p.data.copy() for name, p in params.items()}
+        optimizer = AdamW(params, TrainConfig())
+        assert optimizer.flat.size == sum(p.data.size for p in params.values())
+        for name, p in params.items():
+            assert p.data.base is optimizer.flat and p.data.flags.writeable
+            assert p.data.tobytes() == before[name].tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -192,6 +233,29 @@ class TestTrainLoop:
         with pytest.raises(DataError, match="1 sentences in the train split"):
             train(system, init_head(8, 4, 0), one_train, TrainConfig())
 
+    @pytest.mark.parametrize("case, named", [
+        ("overflowing bank", "gate.global.bn1.running_var"),
+        ("overflowing decay", "head.weight"),
+    ])
+    def test_non_finite_state_named(self, case, named):
+        # Either case used to train with finite losses and fail only when
+        # save_params refused the non-finite value.
+        rng = np.random.default_rng(3)
+        scale = 1e200 if case == "overflowing bank" else 1.0
+        bank = LayerBank(
+            layers=[rng.normal(size=(8, 4, 8)) * scale for _ in range(2)],
+            labels=np.arange(8) % 2, languages=["src"] * 8, splits=["train"] * 8,
+        )
+        if case == "overflowing bank":
+            system, cfg = build_fusion_system(LayerPair(1, 2), 8, seed=0), TrainConfig()
+        else:
+            system, cfg = BaselineSystem(upper=2), TrainConfig(learning_rate=1e10, weight_decay=1e300)
+        head = init_head(8, 2, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=f"^training diverged: non-finite {named} at epoch 1, batch 1$"
+        ):
+            train(system, head, bank, cfg)
+
     def test_pair_outside_bank_rejected(self, small_banks):
         source, _ = small_banks
         system = build_fusion_system(LayerPair(2, 9), 8, seed=0)
@@ -212,6 +276,24 @@ class TestMetrics:
         # Per-class counts pool to TP=2, FP=1, FN=1 -> micro-F1 = 4/6.
         m = classification_metrics(np.array([0, 1, 1]), np.array([0, 1, 0]))
         assert m.micro_f1 == pytest.approx(2 * 2 / (2 * 2 + 1 + 1), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda k: st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), min_size=1, max_size=60
+    )))
+    def test_micro_f1_equals_pooled_counts_and_accuracy(self, pairs):
+        # One label per sentence makes every error one false positive and one
+        # false negative, so pooled micro-F1 = 2TP / (2TP + 2(N - TP)) = TP / N,
+        # correctly rounded either way: the same bits as accuracy.
+        predictions, labels = (np.array(column) for column in zip(*pairs))
+        true_pos = false_pos = false_neg = 0
+        for cls in np.unique(np.concatenate([predictions, labels])):
+            true_pos += int(np.sum((predictions == cls) & (labels == cls)))
+            false_pos += int(np.sum((predictions == cls) & (labels != cls)))
+            false_neg += int(np.sum((predictions != cls) & (labels == cls)))
+        pooled = 2.0 * true_pos / (2.0 * true_pos + false_pos + false_neg)
+        metrics = classification_metrics(predictions, labels)
+        assert metrics.micro_f1.hex() == pooled.hex() == metrics.accuracy.hex()
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
