@@ -121,6 +121,17 @@ def _add_train_flags(parser):
     parser.add_argument("--weight-decay", type=float, default=None)
 
 
+def _add_system_flags(parser, upper=False, variant=True):
+    """Declare ``--upper`` when ``upper`` is set (a string is its help), then
+    ``--variant`` unless ``variant`` is false, then ``--gate-mode``."""
+    if upper:
+        parser.add_argument("--upper", type=int, default=None,
+                            help=None if upper is True else upper)
+    if variant:
+        parser.add_argument("--variant", choices=VARIANTS, default="full")
+    parser.add_argument("--gate-mode", choices=GATE_MODES, default="sigmoid")
+
+
 def _cmd_gen_task(args):
     spec = _load_json(args.spec, SyntheticTaskSpec.from_dict) if args.spec else SyntheticTaskSpec()
     if args.seed is not None:
@@ -354,9 +365,7 @@ def build_parser():
     which = sub.add_mutually_exclusive_group(required=True)
     which.add_argument("--lower", type=int, help="lower layer index to fuse with the top layer")
     which.add_argument("--baseline", action="store_true", help="top layer only, no fusion")
-    sub.add_argument("--upper", type=int, default=None, help="upper layer (default: last)")
-    sub.add_argument("--variant", choices=VARIANTS, default="full")
-    sub.add_argument("--gate-mode", choices=GATE_MODES, default="sigmoid")
+    _add_system_flags(sub, upper="upper layer (default: last)")
     sub.add_argument("--out", required=True, help="where to write the parameter file")
     _add_train_flags(sub)
     _common(sub)
@@ -367,9 +376,7 @@ def build_parser():
     sub.add_argument("--tgt", required=True)
     sub.add_argument("--layers", type=_parse_int_list, default=None,
                      help="lower layers to sweep, e.g. '1..12' (default: all)")
-    sub.add_argument("--upper", type=int, default=None)
-    sub.add_argument("--variant", choices=VARIANTS, default="full")
-    sub.add_argument("--gate-mode", choices=GATE_MODES, default="sigmoid")
+    _add_system_flags(sub, upper=True)
     sub.add_argument("--report", required=True, help="CSV report path")
     sub.add_argument("--json-report", default=None, help="also write a JSON report here")
     sub.add_argument("--jobs", type=int, default=1, help="parallel rows (same output for any N)")
@@ -381,8 +388,7 @@ def build_parser():
     sub.add_argument("--src", required=True)
     sub.add_argument("--tgt", required=True)
     sub.add_argument("--lower", type=int, required=True)
-    sub.add_argument("--upper", type=int, default=None)
-    sub.add_argument("--gate-mode", choices=GATE_MODES, default="sigmoid")
+    _add_system_flags(sub, upper=True, variant=False)
     sub.add_argument("--seeds", type=_parse_int_list, default=[0],
                      help="seeds to average over, e.g. '0..9'")
     sub.add_argument("--report", required=True)
@@ -398,8 +404,7 @@ def build_parser():
     which.add_argument("--params", help="use a trained system from this parameter file")
     which.add_argument("--baseline", action="store_true")
     which.add_argument("--lower", type=int, help="fresh system fusing this lower layer")
-    sub.add_argument("--variant", choices=VARIANTS, default="full")
-    sub.add_argument("--gate-mode", choices=GATE_MODES, default="sigmoid")
+    _add_system_flags(sub)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--pairs", type=int, default=20, help="parallel sentence pairs per language")
     sub.add_argument("--split", default="test")

@@ -76,8 +76,7 @@ def finite_difference_check(loss_fn, params, step=1e-5, rtol=1e-4):
     """
     if step <= 0 or rtol <= 0:
         raise ValueError("step and rtol must be positive")
-    loss = loss_fn()
-    backward(loss)
+    backward(loss_fn(), wrt=params.values())
     recorded = {
         name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
         for name, p in params.items()

@@ -3,7 +3,8 @@
 A feature map is a (batch, tokens, channels) float64 array.  Every operation
 returns a new graph node; ``backward`` replays the graph in reverse and
 leaves exact gradients on each node it visited, including the paths through
-the batch statistics of training-mode normalization.
+the batch statistics of training-mode normalization.  Given ``wrt``, it
+computes only the gradients that lead to those tensors and keeps only theirs.
 """
 
 import numpy as np
@@ -78,7 +79,10 @@ def _accumulate(node, grad, copy=False):
 
 
 def _node(data, parents, backward):
-    """Graph node over ``data``; ``backward(g)`` sends its gradient to ``parents``.
+    """Graph node over ``data``; ``backward(g, wanted)`` sends its gradient to ``parents``.
+
+    ``wanted`` holds the ids of the nodes that need a gradient; the closure
+    computes and accumulates a parent's gradient only if its id is there.
 
     Every op passes a float64 ndarray it has just made, so ``Tensor``'s
     conversion is skipped.
@@ -108,13 +112,18 @@ def _topological_order(root):
     return order
 
 
-def backward(loss, seed=1.0):
+def backward(loss, seed=1.0, wrt=None):
     """Run reverse-mode accumulation from a scalar loss node.
 
     Gradients of every node reachable from ``loss`` are reset first, so each
     call produces the gradients of exactly this computation.  A tensor used
     several times inside the graph accumulates the sum of all path
     contributions.
+
+    Given ``wrt``, the tensors whose gradients the caller reads, only the
+    nodes on a path from one of them to ``loss`` get a gradient, and only the
+    tensors of ``wrt`` keep it (None where ``loss`` does not reach them).
+    Theirs equal the full pass's bit for bit: same expressions, same order.
     """
     if loss.data.size != 1:
         raise ValueError(
@@ -123,10 +132,26 @@ def backward(loss, seed=1.0):
     order = _topological_order(loss)
     for node in order:
         node.grad = None
+    if wrt is None:
+        keep = None
+        wanted = {id(node) for node in order}
+    else:
+        keep = set()
+        for node in wrt:
+            node.grad = None
+            keep.add(id(node))
+        # ``order`` lists parents before children, so one sweep marks every
+        # node that a tensor of ``wrt`` reaches.
+        wanted = set(keep)
+        for node in order:
+            if any(id(parent) in wanted for parent in node._parents):
+                wanted.add(id(node))
     loss.grad = np.full_like(loss.data, float(seed))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            node._backward(node.grad, wanted)
+            if keep is not None and id(node) not in keep:
+                node.grad = None
 
 
 def _require_rank3(op, *tensors):
@@ -147,8 +172,10 @@ def broadcast_add(a, b):
             f"broadcast_add: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
 
-    def _bw(g):
+    def _bw(g, wanted):
         for side in (a, b):
+            if id(side) not in wanted:
+                continue
             if side.data.shape[1] == g.shape[1]:
                 _accumulate(side, g, copy=True)
             else:
@@ -168,12 +195,14 @@ def elementwise_mul(a, b):
                 f"{b.data.shape}"
             )
 
-    def _bw(g):
-        _accumulate(a, g * b.data)
-        gb = g * a.data
-        if b.data.shape[1] != g.shape[1]:
-            gb = gb.sum(axis=1, keepdims=True)
-        _accumulate(b, gb)
+    def _bw(g, wanted):
+        if id(a) in wanted:
+            _accumulate(a, g * b.data)
+        if id(b) in wanted:
+            gb = g * a.data
+            if b.data.shape[1] != g.shape[1]:
+                gb = gb.sum(axis=1, keepdims=True)
+            _accumulate(b, gb)
 
     return _node(a.data * b.data, (a, b), _bw)
 
@@ -186,9 +215,11 @@ def sub(a, b):
             f"sub: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
 
-    def _bw(g):
-        _accumulate(a, g, copy=True)
-        _accumulate(b, -g)
+    def _bw(g, wanted):
+        if id(a) in wanted:
+            _accumulate(a, g, copy=True)
+        if id(b) in wanted:
+            _accumulate(b, -g)
 
     return _node(a.data - b.data, (a, b), _bw)
 
@@ -197,8 +228,9 @@ def scale(t, factor):
     """Multiply every entry by a constant."""
     factor = float(factor)
 
-    def _bw(g):
-        _accumulate(t, g * factor)
+    def _bw(g, wanted):
+        if id(t) in wanted:
+            _accumulate(t, g * factor)
 
     return _node(t.data * factor, (t,), _bw)
 
@@ -206,8 +238,9 @@ def scale(t, factor):
 def shift(t, offset):
     """Add a constant to every entry."""
 
-    def _bw(g):
-        _accumulate(t, g, copy=True)
+    def _bw(g, wanted):
+        if id(t) in wanted:
+            _accumulate(t, g, copy=True)
 
     return _node(t.data + float(offset), (t,), _bw)
 
@@ -217,8 +250,9 @@ def mean_pool_tokens(w):
     _require_rank3("mean_pool_tokens", w)
     tokens = w.data.shape[1]
 
-    def _bw(g):
-        _accumulate(w, np.repeat(g / tokens, tokens, axis=1))
+    def _bw(g, wanted):
+        if id(w) in wanted:
+            _accumulate(w, np.repeat(g / tokens, tokens, axis=1))
 
     # The sum and divide that ``ndarray.mean`` runs, without its Python layer:
     # the same bits.
@@ -241,10 +275,13 @@ def conv1x1(w, kernel, bias):
             f"{kernel.data.shape[0]}"
         )
 
-    def _bw(g):
-        _accumulate(w, g @ kernel.data.T)
-        _accumulate(kernel, np.tensordot(w.data, g, axes=((0, 1), (0, 1))))
-        _accumulate(bias, g.sum(axis=(0, 1)))
+    def _bw(g, wanted):
+        if id(w) in wanted:
+            _accumulate(w, g @ kernel.data.T)
+        if id(kernel) in wanted:
+            _accumulate(kernel, np.tensordot(w.data, g, axes=((0, 1), (0, 1))))
+        if id(bias) in wanted:
+            _accumulate(bias, g.sum(axis=(0, 1)))
 
     return _node(w.data @ kernel.data + bias.data, (w, kernel, bias), _bw)
 
@@ -253,8 +290,9 @@ def relu(t):
     """max(0, x); the subgradient at exactly zero is taken as zero."""
     mask = t.data > 0.0
 
-    def _bw(g):
-        _accumulate(t, g * mask)
+    def _bw(g, wanted):
+        if id(t) in wanted:
+            _accumulate(t, g * mask)
 
     return _node(np.maximum(t.data, 0.0), (t,), _bw)
 
@@ -268,8 +306,9 @@ def sigmoid(t):
     np.maximum(values, SIGMOID_FLOOR, out=values)
     np.minimum(values, SIGMOID_CEIL, out=values)
 
-    def _bw(g):
-        _accumulate(t, g * values * (1.0 - values))
+    def _bw(g, wanted):
+        if id(t) in wanted:
+            _accumulate(t, g * values * (1.0 - values))
 
     return _node(values, (t,), _bw)
 
@@ -277,8 +316,9 @@ def sigmoid(t):
 def tensor_sum(t):
     """Sum of all entries as a scalar node."""
 
-    def _bw(g):
-        _accumulate(t, np.full(t.data.shape, float(g)))
+    def _bw(g, wanted):
+        if id(t) in wanted:
+            _accumulate(t, np.full(t.data.shape, float(g)))
 
     return _node(np.asarray(t.data.sum()), (t,), _bw)
 
@@ -381,15 +421,19 @@ def batch_norm(w, state, training=False):
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
         x_hat = (x - state.running_mean) * inv_std
 
-    def _bw(g):
+    def _bw(g, wanted):
+        # Both reductions also feed the input gradient of a training call.
         g_x_hat = np.add.reduce(g * x_hat, axis=(0, 1))
         g_sum = np.add.reduce(g, axis=(0, 1))
-        if training:
-            gw = gamma.data * inv_std * (g - g_sum / count - x_hat * (g_x_hat / count))
-        else:
-            gw = g * (gamma.data * inv_std)
-        _accumulate(gamma, g_x_hat)
-        _accumulate(beta, g_sum)
-        _accumulate(w, gw)
+        if id(gamma) in wanted:
+            _accumulate(gamma, g_x_hat)
+        if id(beta) in wanted:
+            _accumulate(beta, g_sum)
+        if id(w) in wanted:
+            if training:
+                gw = gamma.data * inv_std * (g - g_sum / count - x_hat * (g_x_hat / count))
+            else:
+                gw = g * (gamma.data * inv_std)
+            _accumulate(w, gw)
 
     return _node(gamma.data * x_hat + beta.data, (w, gamma, beta), _bw)

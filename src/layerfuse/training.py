@@ -86,11 +86,12 @@ def softmax_cross_entropy(logits, labels):
     rows = np.arange(count)
     probs = np.exp(log_probs)
 
-    def _bw(g):
-        grad = probs.copy()
-        grad[rows, labels] -= 1.0
-        grad *= float(g) / count
-        _accumulate(logits, grad.reshape(data.shape))
+    def _bw(g, wanted):
+        if id(logits) in wanted:
+            grad = probs.copy()
+            grad[rows, labels] -= 1.0
+            grad *= float(g) / count
+            _accumulate(logits, grad.reshape(data.shape))
 
     return _node(np.asarray(-log_probs[rows, labels].mean()), (logits,), _bw)
 
@@ -185,7 +186,8 @@ def train(system, head, bank, cfg):
     if isinstance(system, FusionSystem):
         bank.layer(system.pair.lower)
         bank.layer(system.pair.upper)
-    optimizer = AdamW({**system.parameters(), **head.parameters()}, cfg)
+    params = {**system.parameters(), **head.parameters()}
+    optimizer = AdamW(params, cfg)
     named = stored_values(system, head)
     # batch_norm updates the running statistics in place, so these stay
     # current; the empty leading array lets a baseline concatenate none.
@@ -206,13 +208,15 @@ def train(system, head, bank, cfg):
                 raise ValueError(
                     f"training diverged: loss {float(loss.data)} at epoch {epoch}, batch {batch}"
                 )
-            backward(loss)
+            backward(loss, wrt=params.values())
+            total += float(loss.data) * rows.size
+            # Release this step's graph before the next forward builds one.
+            del loss
             optimizer.step()
             # One check over the adopted parameters, one over the running statistics.
             finite = np.isfinite(optimizer.flat).all() and np.isfinite(np.concatenate(running)).all()
             if not finite:
                 _raise_non_finite(named, epoch, batch)
-            total += float(loss.data) * rows.size
         curve.append(total / permuted.size)
     return curve
 

@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from layerfuse import (
     GATE_MODES,
@@ -14,11 +16,15 @@ from layerfuse import (
     broadcast_add,
     conv1x1,
     elementwise_mul,
+    fuse_layers,
+    init_gate_params,
+    init_head,
     mean_pool_tokens,
     parameter,
     relu,
     shift,
     sigmoid,
+    softmax_cross_entropy,
     sub,
     tensor_sum,
 )
@@ -246,3 +252,52 @@ def test_report_table_format():
     table = report.format_table()
     assert "parameter" in table and "head.weight" in table
     assert all(check.error_kind in ("relative", "absolute") for check in report.parameters)
+
+
+def _fused_objective(shape, variant, mode, training, seed):
+    """classification_pipeline's objective, with normalization in either form.
+
+    Returns the loss, the parameters and the nodes (l1, l2, fused).
+    """
+    rng = np.random.default_rng(seed)
+    l1 = Tensor(rng.normal(size=shape))
+    l2 = Tensor(rng.normal(size=shape))
+    gate = init_gate_params(shape[2], seed=seed)
+    for branch in (gate.global_branch, gate.local_branch):
+        for state in (branch.bn1, branch.bn2):
+            state.running_mean[...] = rng.normal(size=state.channels)
+            state.running_var[...] = rng.uniform(0.5, 2.0, size=state.channels)
+    head = init_head(shape[2], 3, seed=seed)
+    fused, _ = fuse_layers(l1, l2, gate, mode, variant, training=training)
+    logits = head.logits(mean_pool_tokens(fused))
+    loss = softmax_cross_entropy(logits, rng.integers(0, 3, size=shape[0]))
+    return loss, {**gate.parameters(), **head.parameters()}, (l1, l2, fused)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("mode", GATE_MODES)
+@settings(max_examples=12, deadline=None)
+@given(
+    batch=st.integers(2, 4),
+    tokens=st.integers(1, 4),
+    channels=st.integers(1, 5),
+    training=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(batch=2, tokens=1, channels=3, training=True, seed=0)  # T = 1 with B >= 2
+@example(batch=3, tokens=2, channels=1, training=True, seed=1)  # C = 1
+@example(batch=1, tokens=3, channels=2, training=False, seed=2)  # one sentence, eval form
+def test_pruned_backward_matches_full_pass(variant, mode, batch, tokens, channels, training, seed):
+    loss, params, (l1, l2, fused) = _fused_objective(
+        (batch, tokens, channels), variant, mode, training, seed)
+    backward(loss)
+    full = {name: p.grad.copy() for name, p in params.items()}
+    unreached = parameter(np.ones(3))
+    unreached.grad = np.ones(3)
+    backward(loss, wrt=[*params.values(), unreached])
+    for name, p in params.items():
+        assert p.grad.tobytes() == full[name].tobytes(), name
+    assert unreached.grad is None
+    assert l1.grad is None and l2.grad is None and fused.grad is None
+    kept = {id(p) for p in params.values()}
+    assert all(node.grad is None for node in _topological_order(loss) if id(node) not in kept)

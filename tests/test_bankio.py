@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -162,6 +163,19 @@ class TestBankValidation:
         path.write_bytes(raw[:-4])
         with pytest.raises(BankTruncationError, match="manifest"):
             read_bank(path)
+
+    def test_every_truncation_raises_a_bank_error(self, tmp_path):
+        raw = _raw_bank(n_layers=1, e=5)
+        assert len(raw) == 385
+        path = tmp_path / "cut.bank"
+        raised = Counter()
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(BankFormatError) as excinfo:
+                read_bank(path)
+            raised[type(excinfo.value)] += 1
+        # A cut inside the 24-byte header is a format error, any later one a truncation.
+        assert raised == {BankFormatError: 24, BankTruncationError: 361}
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "stub.bank"

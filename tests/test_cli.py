@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, manifests, and reproducibility."""
 
+import argparse
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerfuse import BaselineSystem, LayerBank, SweepRow, init_head, read_bank, save_params, write_bank
 from layerfuse import cli
@@ -381,3 +386,37 @@ def test_ablate_csv_bytes(monkeypatch, tmp_path, capsys):
         "global: mean target accuracy 0.2083\n"
         "local: mean target accuracy 0.1042\n"
     )
+
+
+# Every ``--help`` text at 80 columns, the top-level one listing every
+# subcommand; however flags are declared, these bytes stay as they are.
+HELP_TRANSCRIPT = (Path(__file__).parent / "cli_help.txt").read_text(encoding="utf-8")
+HELP_TEXTS = dict(re.findall(r"^\$ layerfuse (.*)\n((?:(?!\$ layerfuse ).*\n)*)",
+                             HELP_TRANSCRIPT, re.MULTILINE))
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_TEXTS))
+def test_help_bytes_pinned(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv.split())
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXTS[argv]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-99, 99), min_size=1, max_size=5))
+def test_parse_int_list_round_trips_integers_and_lists(values):
+    assert cli._parse_int_list(str(values[0])) == values[:1]
+    assert cli._parse_int_list(",".join(map(str, values))) == values
+
+
+@settings(max_examples=30, deadline=None)
+@given(first=st.integers(-20, 20), length=st.integers(-3, 6))
+def test_parse_int_list_ranges(first, length):
+    text = f"{first}..{first + length - 1}"
+    if length < 1:
+        with pytest.raises(argparse.ArgumentTypeError, match="range"):
+            cli._parse_int_list(text)
+    else:
+        assert cli._parse_int_list(text) == list(range(first, first + length))

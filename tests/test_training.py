@@ -1,5 +1,7 @@
 """Head, loss, optimizer, and the training loop."""
 
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,9 +24,11 @@ from layerfuse import (
     generate_task,
     init_head,
     parameter,
+    save_params,
     softmax_cross_entropy,
     train,
 )
+from layerfuse import training
 from layerfuse.tensor import backward
 
 RNG = np.random.default_rng(55)
@@ -175,6 +179,38 @@ class TestTrainLoop:
             head = init_head(8, source.num_classes, seed=5)
             curves.append(train(system, head, source, TrainConfig(seed=5, epochs=2)))
         assert curves[0] == curves[1]
+
+    def test_keeps_one_graph_alive(self, small_banks, monkeypatch):
+        # A Tensor takes no weak reference, but the loss node holds its data
+        # array: once the array is gone, so is the node and the graph under it.
+        source, _ = small_banks
+        losses, alive = [], []
+        batch_loss = training._batch_loss
+
+        def tracked(*args, **kwargs):
+            alive.append(bool(losses) and losses[-1]() is not None)
+            loss = batch_loss(*args, **kwargs)
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        monkeypatch.setattr(training, "_batch_loss", tracked)
+        system = build_fusion_system(LayerPair(1, 3), 8, seed=0)
+        train(system, init_head(8, source.num_classes, 0), source, TrainConfig(epochs=2))
+        assert alive == [False] * 4  # 2 epochs of 2 batches
+
+    def test_pruned_backward_trains_like_the_full_pass(self, small_banks, monkeypatch, tmp_path):
+        source, _ = small_banks
+
+        def run(name):
+            system = build_fusion_system(LayerPair(1, 3), 8, mode="literal", seed=2)
+            head = init_head(8, source.num_classes, seed=2)
+            curve = train(system, head, source, TrainConfig(epochs=2, seed=2))
+            save_params(system, head, tmp_path / name)
+            return curve, (tmp_path / name).read_bytes()
+
+        pruned = run("pruned.json")
+        monkeypatch.setattr(training, "backward", lambda loss, wrt: backward(loss))
+        assert run("full.json") == pruned
 
     def test_separable_task_converges(self):
         spec = SyntheticTaskSpec(
