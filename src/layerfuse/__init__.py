@@ -33,6 +33,7 @@ from .fusion import (
     FusionSystem,
     LayerPair,
     build_fusion_system,
+    build_system,
     fuse_layers,
     init_head,
 )

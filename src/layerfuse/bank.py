@@ -8,6 +8,7 @@ float64 on load.  Writers go through a temp file plus atomic rename.
 """
 
 import json
+import mmap
 import os
 import struct
 import tempfile
@@ -107,7 +108,8 @@ class LayerBank:
         return self.layers[index - 1]
 
     def split_indices(self, split):
-        return np.nonzero(np.asarray(self.splits) == np.asarray(split))[0]
+        # Compared as Python strings: a numpy string array drops trailing NULs.
+        return np.flatnonzero(np.fromiter((name == split for name in self.splits), bool))
 
     def language_tag(self):
         return self.languages[0]
@@ -150,9 +152,20 @@ def write_bank(bank, path):
 
 
 def read_bank(path):
-    """Load and validate a bank file."""
+    """Load and validate a bank file.
+
+    The file and its float64 layers are read into private anonymous memory
+    maps, off the malloc heap, so a dropped bank goes back to the system: the
+    memory a process, or a sweep worker forked from it, keeps resident then
+    does not hang on that heap's layout.
+    """
     with open(path, "rb") as handle:
-        raw = handle.read()
+        size = os.fstat(handle.fileno()).st_size
+        if size:
+            raw = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+            raw = memoryview(raw)[: handle.readinto(raw)]
+        else:  # an empty file, or a pipe
+            raw = handle.read()
     if len(raw) < _HEADER.size:
         raise BankFormatError(f"{path}: file too short for a bank header")
     magic, version, n_layers, sentences, tokens, channels = _HEADER.unpack_from(raw)
@@ -183,7 +196,7 @@ def read_bank(path):
             f"{len(raw) - manifest_start} remain"
         )
     try:
-        manifest = json.loads(raw[manifest_start : manifest_start + manifest_len].decode("utf-8"))
+        manifest = json.loads(str(raw[manifest_start : manifest_start + manifest_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise BankFormatError(f"{path}: manifest is not valid JSON ({err})") from err
     if not isinstance(manifest, dict):
@@ -196,7 +209,9 @@ def read_bank(path):
         for index, value in enumerate(manifest[key]):
             if not valid(value):
                 raise BankFormatError(f"{path}: {entry} {index} is {value!r}, expected {expected}")
-    arr = values.astype(np.float64).reshape(n_layers, sentences, tokens, channels)
+    layers = mmap.mmap(-1, 8 * values.size, access=mmap.ACCESS_COPY)
+    arr = np.frombuffer(layers).reshape(n_layers, sentences, tokens, channels)
+    arr[...] = values.reshape(arr.shape)
     finite = np.isfinite(arr)
     if not finite.all():
         layer, b, t, e = np.argwhere(~finite)[0]

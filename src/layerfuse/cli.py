@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import REPORT_FORMATS, avg_cross_lingual_similarity, emit_report, render_csv
 from .bank import LayerBank, load_params, read_bank, save_params, write_bank
-from .fusion import BaselineSystem, LayerPair, build_fusion_system, init_head
+from .fusion import build_system, init_head
 from .gate import GATE_MODES, VARIANTS
 from .gradcheck import classification_pipeline, finite_difference_check
 from .synthetic import SyntheticTaskSpec, generate_task
@@ -177,21 +177,12 @@ def _cmd_fuse(args):
     return config, [args.bank, args.params], [args.out], 0
 
 
-def _build_system(args, channels, upper, seed):
-    if args.baseline:
-        return BaselineSystem(upper=upper)
-    return build_fusion_system(
-        LayerPair(args.lower, upper), channels,
-        variant=args.variant, mode=args.gate_mode, seed=seed,
-    )
-
-
 def _cmd_train(args):
     source = read_bank(args.src)
     target = read_bank(args.tgt) if args.tgt else None
     cfg = _train_config(args)
     upper = args.upper if args.upper is not None else source.n_layers
-    system = _build_system(args, source.shape[2], upper, cfg.seed)
+    system = build_system(args.lower, upper, source.shape[2], args.variant, args.gate_mode, cfg.seed)
     head = init_head(source.shape[2], source.num_classes, seed=cfg.seed)
     curve = train(system, head, source, cfg)
     if curve:
@@ -277,7 +268,9 @@ def _cmd_cossim(args):
         system, _ = load_params(args.params)
         inputs.append(args.params)
     else:
-        system = _build_system(args, source.shape[2], source.n_layers, args.seed)
+        system = build_system(
+            args.lower, source.n_layers, source.shape[2], args.variant, args.gate_mode, args.seed
+        )
     report = avg_cross_lingual_similarity(
         system, source, targets, pairs=args.pairs, split=args.split
     )

@@ -120,12 +120,17 @@ def stored_values(system, head):
     return {f"gate.{name}": value for name, value in system.state()} | head.parameters()
 
 
-def build_fusion_system(
-    pair, channels, variant="full", mode="sigmoid", seed=0, reduction=4, scheme="kaiming"
-):
+def build_fusion_system(pair, channels, variant="full", mode="sigmoid", seed=0):
     """Deterministically assemble a FusionSystem for the given seed."""
-    params = init_gate_params(channels, reduction=reduction, scheme=scheme, seed=seed)
+    params = init_gate_params(channels, seed=seed)
     return FusionSystem(pair=pair, params=params, variant=variant, mode=mode)
+
+
+def build_system(lower, upper, channels, variant, mode, seed):
+    """The baseline on ``upper`` when ``lower`` is None, else ``lower`` fused with ``upper``."""
+    if lower is None:
+        return BaselineSystem(upper=upper)
+    return build_fusion_system(LayerPair(lower, upper), channels, variant, mode, seed)
 
 
 @dataclass

@@ -122,7 +122,6 @@ def classification_pipeline(
     classes=3,
     variant="full",
     mode="sigmoid",
-    reduction=4,
     check_inputs=False,
 ):
     """Build (loss_fn, params) for the fused-features classification objective.
@@ -137,7 +136,7 @@ def classification_pipeline(
     l1 = Tensor(rng.normal(size=shape))
     l2 = Tensor(rng.normal(size=shape))
     labels = rng.integers(0, classes, size=batch)
-    gate = init_gate_params(channels, reduction=reduction, scheme="kaiming", seed=seed)
+    gate = init_gate_params(channels, seed=seed)
     head = init_head(channels, classes, seed=seed)
 
     def loss_fn():

@@ -8,15 +8,7 @@ import numpy as np
 
 from .bank import DataError, check_document
 # ClassifierHead lives beside the systems; it stays importable from here.
-from .fusion import (
-    BaselineSystem,
-    ClassifierHead,
-    FusionSystem,
-    LayerPair,
-    build_fusion_system,
-    init_head,
-    stored_values,
-)
+from .fusion import ClassifierHead, FusionSystem, build_system, init_head, stored_values
 from .seeding import STREAM_BATCHES, rng_stream
 from .tensor import DimensionError, Tensor, _accumulate, _node, backward, mean_pool_tokens
 
@@ -229,7 +221,7 @@ class Metrics:
 
 
 def classification_metrics(predictions, labels):
-    """Accuracy plus micro-F1 from per-class counts pooled over all classes."""
+    """Accuracy plus micro-F1, which for one label per sentence is the accuracy."""
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if predictions.shape != labels.shape or predictions.size == 0:
@@ -237,14 +229,10 @@ def classification_metrics(predictions, labels):
             f"predictions and labels must be equal-length and non-empty, got "
             f"{predictions.shape} vs {labels.shape}"
         )
-    true_pos = false_pos = false_neg = 0
-    for cls in np.unique(np.concatenate([predictions, labels])):
-        true_pos += int(np.sum((predictions == cls) & (labels == cls)))
-        false_pos += int(np.sum((predictions == cls) & (labels != cls)))
-        false_neg += int(np.sum((predictions != cls) & (labels == cls)))
-    micro_f1 = 2.0 * true_pos / (2.0 * true_pos + false_pos + false_neg)
     accuracy = float(np.mean(predictions == labels))
-    return Metrics(accuracy=accuracy, micro_f1=micro_f1, count=int(labels.size))
+    # Each error is one false positive and one false negative, so pooled
+    # micro-F1 2TP / (2TP + FP + FN) = TP / N: the accuracy, to the bit.
+    return Metrics(accuracy=accuracy, micro_f1=accuracy, count=int(labels.size))
 
 
 def evaluate(system, head, bank, split="test"):
@@ -287,12 +275,7 @@ def sweep_row(source, target, lower, upper, variant, mode, cfg):
     ``lower`` with ``upper``.  System and head draw from ``cfg.seed``.
     """
     channels = source.shape[2]
-    if lower is None:
-        system = BaselineSystem(upper=upper)
-    else:
-        system = build_fusion_system(
-            LayerPair(lower, upper), channels, variant=variant, mode=mode, seed=cfg.seed
-        )
+    system = build_system(lower, upper, channels, variant, mode, cfg.seed)
     head = init_head(channels, source.num_classes, seed=cfg.seed)
     train(system, head, source, cfg)
     on_source = evaluate(system, head, source, "test")

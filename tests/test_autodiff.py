@@ -1,9 +1,11 @@
 """Reverse-mode gradients and the finite-difference oracle."""
 
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from layerfuse import (
@@ -22,6 +24,7 @@ from layerfuse import (
     mean_pool_tokens,
     parameter,
     relu,
+    scale,
     shift,
     sigmoid,
     softmax_cross_entropy,
@@ -33,6 +36,7 @@ from layerfuse.gradcheck import (
     classification_pipeline,
     finite_difference_check,
 )
+from layerfuse import gate as gate_module
 from layerfuse.tensor import _topological_order
 
 RNG = np.random.default_rng(99)
@@ -195,6 +199,134 @@ class TestPerOperationGradients:
             lambda: tensor_sum(elementwise_mul(batch_norm(x, state), w)),
             {"x": x, "gamma": state.gamma, "beta": state.beta},
         )
+
+
+def _away_from_kinks(rng, shape):
+    """Normal draws moved 0.1 further from zero, so no probe crosses a relu kink."""
+    x = rng.normal(size=shape)
+    return x + np.copysign(0.1, x)
+
+
+def _same(shape):
+    return shape
+
+
+def _token(shape):
+    return (shape[0], 1, shape[2])
+
+
+def _channels(shape):
+    return (shape[2],)
+
+
+def _batch_norm_op(training):
+    def forward(x, gamma, beta):
+        state = BatchNormState(x.data.shape[2])
+        state.gamma, state.beta = gamma, beta
+        state.running_mean[...] = np.linspace(-0.5, 0.5, state.channels)
+        state.running_var[...] = np.linspace(0.5, 2.0, state.channels)
+        return batch_norm(x, state, training=training)
+    return forward
+
+
+# Op -> (shape of each checked input, given the (B, T, C) shape; forward).
+_OP_CASES = {
+    "broadcast_add": ((_same, _same), broadcast_add),
+    "broadcast_add_token_second": ((_same, _token), broadcast_add),
+    "broadcast_add_token_first": ((_token, _same), broadcast_add),
+    "elementwise_mul": ((_same, _same), elementwise_mul),
+    "elementwise_mul_token": ((_same, _token), elementwise_mul),
+    "sub": ((_same, _same), sub),
+    "scale": ((_same,), lambda x: scale(x, -1.7)),
+    "shift": ((_same,), lambda x: shift(x, 0.3)),
+    "mean_pool_tokens": ((_same,), mean_pool_tokens),
+    "conv1x1": ((_same, lambda s: (s[2], 3), lambda s: (3,)), conv1x1),
+    "relu": ((_same,), relu),
+    "sigmoid": ((_same,), sigmoid),
+    "batch_norm_training": ((_same, _channels, _channels), _batch_norm_op(True)),
+    "batch_norm_eval": ((_same, _channels, _channels), _batch_norm_op(False)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OP_CASES))
+@settings(max_examples=20, deadline=None)
+@given(batch=st.integers(1, 3), tokens=st.integers(1, 3), channels=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+@example(batch=2, tokens=1, channels=3, seed=0)  # T = 1
+@example(batch=2, tokens=3, channels=1, seed=1)  # C = 1
+def test_every_op_matches_finite_differences(op, batch, tokens, channels, seed):
+    shapes, forward = _OP_CASES[op]
+    assume(op != "batch_norm_training" or batch * tokens > 1)
+    rng = np.random.default_rng(seed)
+    shape = (batch, tokens, channels)
+    inputs = [parameter(_away_from_kinks(rng, size(shape))) for size in shapes]
+    # A fixed random weighting makes every output entry count with its own sign.
+    weight = Tensor(rng.normal(size=forward(*inputs).data.shape))
+    _op_check(lambda: tensor_sum(elementwise_mul(forward(*inputs), weight)),
+              {f"input{i}": x for i, x in enumerate(inputs)})
+
+
+@settings(max_examples=20, deadline=None)
+@given(batch=st.integers(1, 4), classes=st.integers(2, 4), spread=st.floats(0.1, 5.0),
+       seed=st.integers(0, 2**16))
+@example(batch=1, classes=2, spread=1.0, seed=0)  # one sentence
+def test_softmax_cross_entropy_matches_finite_differences(batch, classes, spread, seed):
+    rng = np.random.default_rng(seed)
+    logits = parameter(rng.normal(size=(batch, 1, classes)) * spread)
+    labels = rng.integers(0, classes, size=batch)
+    _op_check(lambda: softmax_cross_entropy(logits, labels), {"logits": logits})
+
+
+def _gate_margins(loss_fn):
+    """How far the gate's relu inputs lie from the kink, and the least
+    variance a training-mode batch_norm normalizes by, in one forward.
+
+    Central differences are exact only to O(step**2) times the curvature, so
+    a relu input within a step of zero, or a channel variance near the norm's
+    eps, can fail a correct gradient.
+    """
+    kinks, variances = [np.inf], [np.inf]
+
+    def recording_relu(t):
+        kinks.append(np.abs(t.data).min())
+        return relu(t)
+
+    def recording_batch_norm(w, state, training=False):
+        if training:
+            variances.append(w.data.var(axis=(0, 1)).min())
+        return batch_norm(w, state, training)
+
+    with mock.patch.multiple(gate_module, relu=recording_relu, batch_norm=recording_batch_norm):
+        loss_fn()
+    return min(kinks), min(variances)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=25, deadline=None)
+@given(batch=st.integers(1, 3), tokens=st.integers(1, 3), channels=st.integers(1, 3),
+       excess=st.integers(1, 3), mode=st.sampled_from(GATE_MODES), training=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(batch=2, tokens=1, channels=3, excess=1, mode="sigmoid", training=True, seed=0)  # T = 1
+@example(batch=2, tokens=2, channels=1, excess=2, mode="literal", training=True, seed=1)  # C = 1
+def test_gate_with_reduction_above_channels_matches_finite_differences(
+    variant, batch, tokens, channels, excess, mode, training, seed
+):
+    # A reduction above the channel count leaves a bottleneck of width 1.
+    assume(not training or batch > 1)  # a pooled branch normalizes over sentences
+    rng = np.random.default_rng(seed)
+    shape = (batch, tokens, channels)
+    l1, l2 = parameter(rng.normal(size=shape)), parameter(rng.normal(size=shape))
+    gate = init_gate_params(channels, reduction=channels + excess, seed=seed)
+    head = init_head(channels, 3, seed=seed)
+    labels = rng.integers(0, 3, size=batch)
+
+    def loss_fn():
+        fused, _ = fuse_layers(l1, l2, gate, mode, variant, training=training)
+        return softmax_cross_entropy(head.logits(mean_pool_tokens(fused)), labels)
+
+    kink, spread = _gate_margins(loss_fn)
+    assume(kink > 1e-2 and spread > 1e-3)
+    _op_check(loss_fn, {**gate.parameters(), **head.parameters(), "input.l1": l1, "input.l2": l2})
 
 
 def test_full_pipeline_seed_17():

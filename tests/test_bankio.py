@@ -1,14 +1,17 @@
 """Bank and parameter persistence: roundtrips and structured failures."""
 
 import json
+import multiprocessing
+import os
 import re
 import struct
+import threading
 from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -30,6 +33,7 @@ from layerfuse import (
     write_bank,
 )
 from layerfuse.bank import MAGIC, ParamsFormatError
+from layerfuse.cli import main
 
 RNG = np.random.default_rng(404)
 
@@ -121,6 +125,93 @@ class TestBankRoundtrip:
         loaded = read_bank(path)
         assert loaded.shape == (1, 1, 1)
         assert loaded.layers[0][0, 0, 0] == 0.5
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_read_from_a_pipe(self, bank, tmp_path):
+        # A pipe reports size 0, so it is read whole instead of into a map.
+        path, pipe = tmp_path / "bank.bank", tmp_path / "pipe"
+        write_bank(bank, path)
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        loaded = read_bank(pipe)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        npt.assert_array_equal(np.stack(loaded.layers), np.stack(read_bank(path).layers))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_writes_stay_in_the_child(self, bank, tmp_path):
+        # Sweep workers are forked from the process that read the banks; a
+        # shared map would let a worker's write reach the parent's layers.
+        path = tmp_path / "bank.bank"
+        write_bank(bank, path)
+        loaded = read_bank(path)
+        before = loaded.layers[0].copy()
+        child = multiprocessing.get_context("fork").Process(target=loaded.layers[0].fill, args=(7.0,))
+        child.start()
+        child.join(timeout=30)
+        assert child.exitcode == 0
+        npt.assert_array_equal(loaded.layers[0], before)
+
+    def test_split_names_differing_by_trailing_nul(self, tmp_path, capsys):
+        # A numpy string array drops trailing NULs, so comparing through one
+        # took "train" and "train\0" for the same split.
+        path = tmp_path / "nul.bank"
+        write_bank(LayerBank(
+            layers=[np.zeros((3, 1, 1))], labels=np.array([0, 1, 0]),
+            languages=["src"] * 3, splits=["train", "train\0", "test"],
+        ), path)
+        loaded = read_bank(path)
+        assert loaded.split_indices("train").tolist() == [0]
+        assert loaded.split_indices("train\0").tolist() == [1]
+        assert loaded.split_indices("test").tolist() == [2]
+        assert main(["inspect-bank", "--bank", str(path), "--manifest", str(tmp_path / "m.json")]) == 0
+        assert "  splits: test=1, train=1, train\0=1\n" in capsys.readouterr().out
+
+
+# Any text, NUL and non-ASCII included; entries share a few stems that differ
+# only by trailing NULs, so the manifest lists hold near-equal names.
+_STEMS = st.lists(st.text(max_size=3), min_size=1, max_size=3)
+
+
+def _manifest_texts(stems, size):
+    entry = st.builds(lambda stem, nuls: stem + "\0" * nuls, st.sampled_from(stems), st.integers(0, 2))
+    return st.lists(entry, min_size=size, max_size=size)
+
+
+@st.composite
+def _random_banks(draw):
+    n_layers, sentences, tokens, channels = (draw(st.integers(1, n)) for n in (2, 5, 2, 3))
+    layers = draw(st.lists(
+        hnp.arrays(np.float32, (sentences, tokens, channels),
+                   elements=st.floats(allow_nan=False, allow_infinity=False, width=32)),
+        min_size=n_layers, max_size=n_layers,
+    ))
+    return LayerBank(
+        layers=[layer.astype(np.float64) for layer in layers],
+        labels=draw(st.lists(st.integers(0, 2**63 - 1), min_size=sentences, max_size=sentences)),
+        languages=draw(_manifest_texts(draw(_STEMS), sentences)),
+        splits=draw(_manifest_texts(draw(_STEMS), sentences)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_banks())
+@example(LayerBank(layers=[np.zeros((3, 1, 1))], labels=[0, 2**63 - 1, 5],
+                   languages=["\0", "é", ""], splits=["train", "train\0", "test"]))
+def test_bank_round_trips_random_manifests(tmp_path_factory, bank):
+    path = tmp_path_factory.mktemp("bank") / "random.bank"
+    write_bank(bank, path)
+    loaded = read_bank(path)
+    assert [layer.tobytes() for layer in loaded.layers] == [layer.tobytes() for layer in bank.layers]
+    assert loaded.labels.tolist() == bank.labels.tolist()
+    assert loaded.languages == bank.languages
+    assert loaded.splits == bank.splits
+    for name in {*bank.splits, "dev"}:  # and a name the bank may lack
+        expected = [row for row, split in enumerate(bank.splits) if split == name]
+        assert loaded.split_indices(name).tolist() == expected, repr(name)
 
 
 def _raw_bank(n_layers=2, b=4, t=3, e=8, floats=None, manifest=None):

@@ -5,16 +5,20 @@ import numpy.testing as npt
 import pytest
 
 from layerfuse import (
+    BaselineSystem,
     DimensionError,
     LayerPair,
     Tensor,
     backward,
     build_fusion_system,
+    build_system,
     elementwise_mul,
     fuse_layers,
     init_gate_params,
+    init_head,
     tensor_sum,
 )
+from layerfuse.fusion import stored_values
 
 RNG = np.random.default_rng(31)
 
@@ -158,3 +162,22 @@ class TestFusionSystem:
 
     def test_config_id(self):
         assert build_fusion_system(LayerPair(3, 6), 8).config_id() == "D_3"
+
+
+def _stored_bytes(system):
+    return {name: np.asarray(value.data if isinstance(value, Tensor) else value).tobytes()
+            for name, value in stored_values(system, init_head(8, 3, seed=0)).items()}
+
+
+class TestBuildSystem:
+    def test_no_lower_layer_is_the_baseline(self):
+        assert build_system(None, 4, 8, "full", "sigmoid", 3) == BaselineSystem(upper=4)
+
+    @pytest.mark.parametrize("lower,variant,mode,seed", [
+        (1, "full", "sigmoid", 0), (4, "local", "literal", 5), (2, "global", "sigmoid", 9),
+    ])
+    def test_a_lower_layer_is_the_fusion_system(self, lower, variant, mode, seed):
+        built = build_system(lower, 4, 8, variant, mode, seed)
+        expected = build_fusion_system(LayerPair(lower, 4), 8, variant=variant, mode=mode, seed=seed)
+        assert built.describe() == expected.describe()
+        assert _stored_bytes(built) == _stored_bytes(expected)
