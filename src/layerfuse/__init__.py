@@ -72,7 +72,6 @@ from .tensor import (
     shift,
     sigmoid,
     sub,
-    tensor_sum,
 )
 from .training import (
     AdamW,

@@ -3,8 +3,8 @@
 Bank layout: magic ``DLFB``, then version, layer count and (B, T, E) as
 little-endian u32, the payload as little-endian float32 in row-major
 [layer][sentence][token][channel] order, and finally a UTF-8 JSON manifest
-prefixed by its byte length as a little-endian u64.  Tensors are widened to
-float64 on load.  Writers go through a temp file plus atomic rename.
+prefixed by its byte length as a little-endian u64.  Layers stay float32 on
+load.  Writers go through a temp file plus atomic rename.
 """
 
 import json
@@ -68,7 +68,9 @@ class LayerBank:
     def __post_init__(self):
         if not self.layers:
             raise DataError("a bank needs at least one layer")
-        self.layers = [np.asarray(layer, dtype=np.float64) for layer in self.layers]
+        # Float32, as a bank file stores it, stays as given; ops widen a gathered batch.
+        layers = [np.asarray(layer) for layer in self.layers]
+        self.layers = [x if x.dtype == np.float32 else x.astype(np.float64, copy=False) for x in layers]
         shape = self.layers[0].shape
         if len(shape) != 3 or min(shape) < 1:
             raise DataError(f"bank layers must be (sentences, tokens, channels), got {shape}")
@@ -154,18 +156,18 @@ def write_bank(bank, path):
 def read_bank(path):
     """Load and validate a bank file.
 
-    The file and its float64 layers are read into private anonymous memory
-    maps, off the malloc heap, so a dropped bank goes back to the system: the
-    memory a process, or a sweep worker forked from it, keeps resident then
-    does not hang on that heap's layout.
+    The file is read into a private anonymous memory map, off the malloc
+    heap, and its layers are float32 views into that map, as stored.  A
+    dropped bank goes back to the system, so the memory a process, or a sweep
+    worker forked from it, keeps resident does not hang on the heap's layout.
     """
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         if size:
             raw = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
             raw = memoryview(raw)[: handle.readinto(raw)]
-        else:  # an empty file, or a pipe
-            raw = handle.read()
+        else:  # an empty file, or a pipe; writable, as a map is
+            raw = bytearray(handle.read())
     if len(raw) < _HEADER.size:
         raise BankFormatError(f"{path}: file too short for a bank header")
     magic, version, n_layers, sentences, tokens, channels = _HEADER.unpack_from(raw)
@@ -195,6 +197,9 @@ def read_bank(path):
             f"{path}: manifest declares {manifest_len} bytes but only "
             f"{len(raw) - manifest_start} remain"
         )
+    trailing = len(raw) - manifest_start - manifest_len
+    if trailing:
+        raise BankFormatError(f"{path}: {trailing} bytes after the manifest")
     try:
         manifest = json.loads(str(raw[manifest_start : manifest_start + manifest_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
@@ -209,9 +214,7 @@ def read_bank(path):
         for index, value in enumerate(manifest[key]):
             if not valid(value):
                 raise BankFormatError(f"{path}: {entry} {index} is {value!r}, expected {expected}")
-    layers = mmap.mmap(-1, 8 * values.size, access=mmap.ACCESS_COPY)
-    arr = np.frombuffer(layers).reshape(n_layers, sentences, tokens, channels)
-    arr[...] = values.reshape(arr.shape)
+    arr = values.reshape(n_layers, sentences, tokens, channels)
     finite = np.isfinite(arr)
     if not finite.all():
         layer, b, t, e = np.argwhere(~finite)[0]

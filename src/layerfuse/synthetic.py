@@ -86,7 +86,7 @@ def generate_task(spec):
 
     Both banks share labels, latents, and the per-layer shared map; only the
     language-specific map, its rotation, and the additive noise differ.
-    Values are quantized to float32 precision so bank files round-trip
+    Layers are float32, as a bank file stores them, so bank files round-trip
     bit-exactly.
     """
     k, d = spec.num_classes, spec.latent_dim
@@ -125,7 +125,7 @@ def generate_task(spec):
                     spec.seed, STREAM_TASK, _NOISE, lang_index, layer_index
                 ).normal(size=(total, spec.tokens, spec.channels))
                 features = features + spec.noise_std * noise
-            layers.append(features.astype(np.float32).astype(np.float64))
+            layers.append(features.astype(np.float32))
         banks.append(
             LayerBank(
                 layers=layers,

@@ -26,7 +26,6 @@ __all__ = [
     "batch_norm",
     "relu",
     "sigmoid",
-    "tensor_sum",
 ]
 
 # Sigmoid outputs are pinned to the open interval so downstream convex mixes
@@ -311,16 +310,6 @@ def sigmoid(t):
             _accumulate(t, g * values * (1.0 - values))
 
     return _node(values, (t,), _bw)
-
-
-def tensor_sum(t):
-    """Sum of all entries as a scalar node."""
-
-    def _bw(g, wanted):
-        if id(t) in wanted:
-            _accumulate(t, np.full(t.data.shape, float(g)))
-
-    return _node(np.asarray(t.data.sum()), (t,), _bw)
 
 
 class BatchNormState:

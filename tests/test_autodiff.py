@@ -29,7 +29,6 @@ from layerfuse import (
     sigmoid,
     softmax_cross_entropy,
     sub,
-    tensor_sum,
 )
 from layerfuse.gradcheck import (
     EvaluationError,
@@ -38,6 +37,7 @@ from layerfuse.gradcheck import (
 )
 from layerfuse import gate as gate_module
 from layerfuse.tensor import _topological_order
+from tensor_helpers import tensor_sum
 
 RNG = np.random.default_rng(99)
 

@@ -1,10 +1,13 @@
 """Bank and parameter persistence: roundtrips and structured failures."""
 
 import json
+import mmap
 import multiprocessing
 import os
 import re
 import struct
+import subprocess
+import sys
 import threading
 from collections import Counter
 
@@ -15,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import layerfuse
 from layerfuse import (
     BaselineSystem,
     BankFormatError,
@@ -92,6 +96,29 @@ def bank():
     return generate_task(SMALL)[0]
 
 
+def _owner(array):
+    """The object at the end of an array's base chain: what holds its memory."""
+    while isinstance(array, (np.ndarray, memoryview)):
+        array = array.base if isinstance(array, np.ndarray) else array.obj
+    return array
+
+
+# Prints how far read_bank raises the peak resident set of its process, in bytes.
+_PEAK_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from layerfuse import read_bank
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+before = peak()
+bank = read_bank(sys.argv[2])
+print(peak() - before)
+"""
+
+
 class TestBankRoundtrip:
     def test_bit_exact(self, bank, tmp_path):
         path = tmp_path / "bank.bank"
@@ -138,6 +165,37 @@ class TestBankRoundtrip:
         writer.join(timeout=30)
         assert not writer.is_alive()
         npt.assert_array_equal(np.stack(loaded.layers), np.stack(read_bank(path).layers))
+        assert all(layer.flags.writeable for layer in loaded.layers)
+
+    def test_layers_are_float32_views_into_one_map(self, tmp_path):
+        source, target = generate_task(SMALL)
+        path = tmp_path / "bank.bank"
+        write_bank(source, path)
+        loaded = read_bank(path)
+        assert {layer.dtype for layer in source.layers + target.layers + loaded.layers} == {
+            np.dtype(np.float32)
+        }
+        owners = {id(_owner(layer)) for layer in loaded.layers}
+        assert len(owners) == 1 and isinstance(_owner(loaded.layers[0]), mmap.mmap)
+        assert all(layer.flags.writeable for layer in loaded.layers)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_read_peak_is_about_the_file_size(self, tmp_path):
+        # 2 layers of (64, 128, 768): a 50 MB file.  Read in a fresh process,
+        # whose VmHWM holds nothing of this one's.
+        path = tmp_path / "big.bank"
+        shape = (64, 128, 768)
+        manifest = json.dumps({"labels": [0] * 64, "language": ["src"] * 64, "split": ["t"] * 64})
+        with open(path, "wb") as handle:
+            handle.write(struct.pack("<4sIIIII", MAGIC, 1, 2, *shape))
+            handle.write(np.ones(2 * np.prod(shape), "<f4"))
+            handle.write(struct.pack("<Q", len(manifest)) + manifest.encode())
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_SCRIPT, os.path.dirname(os.path.dirname(layerfuse.__file__)),
+             str(path)],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert int(done.stdout) < 1.6 * path.stat().st_size
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
@@ -190,7 +248,7 @@ def _random_banks(draw):
         min_size=n_layers, max_size=n_layers,
     ))
     return LayerBank(
-        layers=[layer.astype(np.float64) for layer in layers],
+        layers=layers,
         labels=draw(st.lists(st.integers(0, 2**63 - 1), min_size=sentences, max_size=sentences)),
         languages=draw(_manifest_texts(draw(_STEMS), sentences)),
         splits=draw(_manifest_texts(draw(_STEMS), sentences)),
@@ -199,7 +257,7 @@ def _random_banks(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_random_banks())
-@example(LayerBank(layers=[np.zeros((3, 1, 1))], labels=[0, 2**63 - 1, 5],
+@example(LayerBank(layers=[np.zeros((3, 1, 1), np.float32)], labels=[0, 2**63 - 1, 5],
                    languages=["\0", "é", ""], splits=["train", "train\0", "test"]))
 def test_bank_round_trips_random_manifests(tmp_path_factory, bank):
     path = tmp_path_factory.mktemp("bank") / "random.bank"
@@ -267,6 +325,14 @@ class TestBankValidation:
             raised[type(excinfo.value)] += 1
         # A cut inside the 24-byte header is a format error, any later one a truncation.
         assert raised == {BankFormatError: 24, BankTruncationError: 361}
+
+    @pytest.mark.parametrize("appended", [b"\n", _raw_bank()], ids=["one byte", "a second bank"])
+    def test_bytes_after_the_manifest(self, tmp_path, appended):
+        path = tmp_path / "long.bank"
+        path.write_bytes(_raw_bank() + appended)
+        message = f"^{re.escape(str(path))}: {len(appended)} bytes after the manifest$"
+        with pytest.raises(BankFormatError, match=message):
+            read_bank(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "stub.bank"

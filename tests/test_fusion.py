@@ -5,20 +5,25 @@ import numpy.testing as npt
 import pytest
 
 from layerfuse import (
+    GATE_MODES,
+    VARIANTS,
     BaselineSystem,
     DimensionError,
+    LayerBank,
     LayerPair,
+    SyntheticTaskSpec,
     Tensor,
     backward,
     build_fusion_system,
     build_system,
     elementwise_mul,
     fuse_layers,
+    generate_task,
     init_gate_params,
     init_head,
-    tensor_sum,
 )
 from layerfuse.fusion import stored_values
+from tensor_helpers import tensor_sum
 
 RNG = np.random.default_rng(31)
 
@@ -181,3 +186,33 @@ class TestBuildSystem:
         expected = build_fusion_system(LayerPair(lower, 4), 8, variant=variant, mode=mode, seed=seed)
         assert built.describe() == expected.describe()
         assert _stored_bytes(built) == _stored_bytes(expected)
+
+
+class TestGatherWidening:
+    # Bank layers stay float32, as a bank file stores them; Tensor widens the
+    # gathered rows to float64, which is exact, so every op computes as it
+    # would on a float64 copy of the bank.
+    SPEC = SyntheticTaskSpec(
+        train_sentences=10, test_sentences=4, channels=8, latent_dim=3,
+        tokens=3, n_layers=3, invariance=(0.9, 0.5, 0.1), seed=5,
+    )
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("lower,variant,mode", [
+        *((1, variant, mode) for variant in VARIANTS for mode in GATE_MODES),
+        (None, "full", "sigmoid"),
+    ])
+    def test_float32_bank_fuses_as_its_float64_copy(self, lower, variant, mode, training):
+        bank = generate_task(self.SPEC)[0]
+        wide = LayerBank(
+            layers=[layer.astype(np.float64) for layer in bank.layers],
+            labels=bank.labels, languages=bank.languages, splits=bank.splits,
+        )
+        assert [layer.dtype for layer in bank.layers + wide.layers] == [np.float32] * 3 + [np.float64] * 3
+        rows = np.array([6, 0, 3, 11, 2])
+        fused = [
+            build_system(lower, 3, 8, variant, mode, seed=4).fused_batch(b, rows, training).data
+            for b in (bank, wide)
+        ]
+        assert fused[0].dtype == np.float64
+        assert fused[0].tobytes() == fused[1].tobytes()

@@ -14,9 +14,9 @@ from layerfuse import (
     init_gate_params,
     inner_width,
     local_branch_forward,
-    tensor_sum,
 )
 from layerfuse.gradcheck import finite_difference_check
+from tensor_helpers import tensor_sum
 
 RNG = np.random.default_rng(2024)
 

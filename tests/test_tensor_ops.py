@@ -21,10 +21,10 @@ from layerfuse import (
     relu,
     sigmoid,
     sub,
-    tensor_sum,
 )
 from layerfuse.tensor import backward
 from layerfuse.tensor import SIGMOID_CEIL, SIGMOID_FLOOR
+from tensor_helpers import tensor_sum
 
 RNG = np.random.default_rng(1234)
 
