@@ -7,11 +7,11 @@ prefixed by its byte length as a little-endian u64.  Layers stay float32 on
 load.  Writers go through a temp file plus atomic rename.
 """
 
+import itertools
 import json
 import mmap
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,13 +117,14 @@ class LayerBank:
         return self.languages[0]
 
 
-def _atomic_write(path, payload):
+def _atomic_write(path, chunks):
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    # Created as open() creates a file, so the umask sets its mode (mkstemp's is 0600).
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -135,12 +136,9 @@ def write_bank(bank, path):
     """Serialize a bank; byte-deterministic for a given bank.
 
     The payload is stored as float32, so values are quantized to float32
-    precision on disk.
+    precision on disk.  Layers are written one at a time as they are held: a
+    float32 layer without a copy, any other layer cast on its own.
     """
-    n_layers = bank.n_layers
-    sentences, tokens, channels = bank.shape
-    header = _HEADER.pack(MAGIC, BANK_VERSION, n_layers, sentences, tokens, channels)
-    payload = np.stack(bank.layers).astype("<f4").tobytes()
     manifest = json.dumps(
         {
             "labels": [int(x) for x in bank.labels],
@@ -150,7 +148,9 @@ def write_bank(bank, path):
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    _atomic_write(path, header + payload + struct.pack("<Q", len(manifest)) + manifest)
+    header = _HEADER.pack(MAGIC, BANK_VERSION, bank.n_layers, *bank.shape)
+    layers = (np.ascontiguousarray(layer, dtype="<f4") for layer in bank.layers)
+    _atomic_write(path, itertools.chain([header], layers, [struct.pack("<Q", len(manifest)), manifest]))
 
 
 def read_bank(path):
@@ -316,11 +316,7 @@ def save_params(system, head, path):
         "gate": None,  # replaced by the gate block of a fusion system
         **_nest(named.items()),
     }
-    try:
-        text = _render(doc)
-    except ValueError as err:
-        raise ValueError(f"{path}: refusing to write non-finite parameters ({err})") from err
-    _atomic_write(path, text.encode("utf-8"))
+    _atomic_write(path, [_render(doc).encode("utf-8")])
 
 
 def _lookup(doc, dotted):

@@ -164,9 +164,8 @@ def _cmd_fuse(args):
     bank = read_bank(args.bank)
     system, _ = load_params(args.params)
     rows = list(range(bank.shape[0]))
-    fused = system.fused_batch(bank, rows, training=False)
     out_bank = LayerBank(
-        layers=[fused.data],
+        layers=[system.fused_batch(bank, rows, training=False).data],  # no graph held while writing
         labels=bank.labels,
         languages=list(bank.languages),
         splits=list(bank.splits),

@@ -5,6 +5,7 @@ import mmap
 import multiprocessing
 import os
 import re
+import stat
 import struct
 import subprocess
 import sys
@@ -119,6 +120,78 @@ print(peak() - before)
 """
 
 
+# Shared by the scripts below: the peak resident set of this process, in bytes.
+_VMHWM = """
+import sys
+sys.path.insert(0, sys.argv[1])
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+"""
+
+# Writes a float32 bank of 2 layers of (64, 128, 768), a 50 MB file, to
+# argv[2] and prints how far write_bank raises the peak, in bytes.
+_WRITE_PEAK_SCRIPT = _VMHWM + """
+import numpy as np
+from layerfuse import LayerBank, write_bank
+
+bank = LayerBank(layers=[np.full((64, 128, 768), 0.5, np.float32) for _ in range(2)],
+                 labels=[0] * 64, languages=["src"] * 64, splits=["t"] * 64)
+before = peak()
+write_bank(bank, sys.argv[2])
+print(peak() - before)
+"""
+
+# Runs `fuse --bank argv[2] --params argv[3] --out argv[4]` and prints, on its
+# last line, how far the command's write_bank call raises the peak, in bytes.
+_FUSE_PEAK_SCRIPT = _VMHWM + """
+from layerfuse import cli
+
+rises = []
+
+def write_bank(bank, path):
+    before = peak()
+    original(bank, path)
+    rises.append(peak() - before)
+
+original, cli.write_bank = cli.write_bank, write_bank
+assert cli.main(["fuse", "--bank", sys.argv[2], "--params", sys.argv[3], "--out", sys.argv[4]]) == 0
+print(rises[0])
+"""
+
+
+def _run_script(script, *args):
+    """Stdout of ``script`` in a fresh process, whose VmHWM holds nothing of this one's."""
+    src = os.path.dirname(os.path.dirname(layerfuse.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", script, src, *map(str, args)],
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+
+
+def _staged_bytes(bank):
+    """A bank file as built in memory whole: header, stacked float32 payload, manifest."""
+    manifest = json.dumps(
+        {"labels": bank.labels.tolist(), "language": bank.languages, "split": bank.splits},
+        sort_keys=True, separators=(",", ":"),
+    ).encode()
+    header = struct.pack("<4sIIIII", MAGIC, 1, bank.n_layers, *bank.shape)
+    payload = np.stack(bank.layers).astype("<f4").tobytes()
+    return header + payload + struct.pack("<Q", len(manifest)) + manifest
+
+
+# Layer forms a bank may hold, each (3, 4, 6), from a float64 array of (3, 8, 6)
+# whose values float32 cannot hold exactly.
+_LAYER_FORMS = {
+    "float32": lambda x: x[:, :4].astype(np.float32),
+    "float64": lambda x: x[:, :4].copy(),
+    "strided float32": lambda x: x.astype(np.float32)[:, ::2, ::-1],
+    "strided float64": lambda x: x[:, 1::2],
+    "fortran float32": lambda x: np.asfortranarray(x[:, 4:], dtype=np.float32),
+}
+
+
 class TestBankRoundtrip:
     def test_bit_exact(self, bank, tmp_path):
         path = tmp_path / "bank.bank"
@@ -197,6 +270,48 @@ class TestBankRoundtrip:
         )
         assert int(done.stdout) < 1.6 * path.stat().st_size
 
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    @pytest.mark.parametrize("forms", [[form] for form in _LAYER_FORMS] + [list(_LAYER_FORMS)],
+                             ids=[*_LAYER_FORMS, "mixed"])
+    def test_writes_the_staged_bytes(self, tmp_path, forms, n_layers):
+        kinds = [forms[i % len(forms)] for i in range(n_layers)]
+        layers = [_LAYER_FORMS[kind](RNG.normal(size=(3, 8, 6)) * 1e3) for kind in kinds]
+        bank = LayerBank(layers=layers, labels=[0, 2, 1], languages=["src", "é", "\0"],
+                         splits=["train", "test", "train"])
+        # The bank holds each layer in its own form, so the writer sees that form.
+        assert [layer.flags.c_contiguous for layer in bank.layers] == [" " not in kind for kind in kinds]
+        path = tmp_path / "bank.bank"
+        write_bank(bank, path)
+        assert path.read_bytes() == _staged_bytes(bank)
+
+    def test_failed_write_leaves_no_file(self, bank, tmp_path):
+        # Layers go out one at a time, so a layer that cannot be cast fails mid-write.
+        broken = LayerBank(layers=list(bank.layers), labels=bank.labels,
+                           languages=bank.languages, splits=bank.splits)
+        broken.layers.append("not a layer")
+        with pytest.raises(ValueError):
+            write_bank(broken, tmp_path / "bank.bank")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_write_peak_holds_no_payload_copy(self, tmp_path):
+        path = tmp_path / "big.bank"
+        rise = int(_run_script(_WRITE_PEAK_SCRIPT, path))
+        assert rise < 0.25 * path.stat().st_size
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_fuse_writes_without_the_graph(self, tmp_path):
+        # The eval graph is freed before the write, so the float32 cast of the
+        # fused layer fits under the forward pass's peak.
+        shape = (32, 128, 384)
+        rng = np.random.default_rng(7)
+        bank_path, params, out = tmp_path / "in.bank", tmp_path / "params.json", tmp_path / "out.bank"
+        write_bank(LayerBank(layers=[rng.normal(size=shape).astype(np.float32) for _ in range(2)],
+                             labels=[0, 1] * 16, languages=["src"] * 32, splits=["test"] * 32), bank_path)
+        save_params(build_fusion_system(LayerPair(1, 2), 384, seed=0), init_head(384, 2, seed=0), params)
+        rise = int(_run_script(_FUSE_PEAK_SCRIPT, bank_path, params, out).splitlines()[-1])
+        assert rise < 0.25 * np.prod(shape) * 8
+
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
     )
@@ -227,6 +342,19 @@ class TestBankRoundtrip:
         assert loaded.split_indices("test").tolist() == [2]
         assert main(["inspect-bank", "--bank", str(path), "--manifest", str(tmp_path / "m.json")]) == 0
         assert "  splits: test=1, train=1, train\0=1\n" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_written_files_take_the_umask_mode(bank, tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        write_bank(bank, tmp_path / "bank.bank")
+        save_params(BaselineSystem(upper=2), init_head(4, 3, seed=0), tmp_path / "params.json")
+    finally:
+        os.umask(previous)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == {"bank.bank": 0o666 & ~umask, "params.json": 0o666 & ~umask}
 
 
 # Any text, NUL and non-ASCII included; entries share a few stems that differ
