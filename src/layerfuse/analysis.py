@@ -79,7 +79,7 @@ def avg_cross_lingual_similarity(system, source, targets, pairs=20, split="test"
             cosine_similarity(source_vectors[i], target_vectors[i])
             for i in range(rows.size)
         ]
-        tag = target.language_tag()
+        tag = target.languages[0]
         if tag in per_language:
             tag = f"{tag}.{index}"
         per_language[tag] = float(np.mean(sims))

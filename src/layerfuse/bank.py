@@ -113,9 +113,6 @@ class LayerBank:
         # Compared as Python strings: a numpy string array drops trailing NULs.
         return np.flatnonzero(np.fromiter((name == split for name in self.splits), bool))
 
-    def language_tag(self):
-        return self.languages[0]
-
 
 def _atomic_write(path, chunks):
     path = os.fspath(path)
@@ -347,6 +344,12 @@ def load_params(path):
         if get("version") != PARAMS_VERSION:
             raise ParamsFormatError(f"unsupported schema version {get('version')!r}")
         head = ClassifierHead(weight=parameter(get("head.weight")), bias=parameter(get("head.bias")))
+        weight = head.weight.data
+        if weight.ndim != 2:
+            raise ParamsFormatError(f"head.weight must be 2-D, got shape {weight.shape}")
+        if head.bias.data.shape != weight.shape[1:]:
+            raise ParamsFormatError(f"head.bias has shape {head.bias.data.shape}, expected "
+                                    f"({weight.shape[1]},) to fit head.weight {weight.shape}")
         kind = get("system.kind")
         if kind == "baseline":
             return BaselineSystem(upper=int(get("system.upper"))), head
@@ -358,6 +361,9 @@ def load_params(path):
             global_branch=BranchParams.from_state(lambda name: get(f"gate.global.{name}")),
             local_branch=BranchParams.from_state(lambda name: get(f"gate.local.{name}")),
         ).validate()
+        if weight.shape[0] != params.channels:
+            raise ParamsFormatError(f"head.weight has {weight.shape[0]} rows, expected "
+                                    f"system.channels={params.channels}")
         system = FusionSystem(
             pair=LayerPair(int(get("system.lower")), int(get("system.upper"))),
             params=params,

@@ -132,6 +132,23 @@ def _add_system_flags(parser, upper=False, variant=True):
     parser.add_argument("--gate-mode", choices=GATE_MODES, default="sigmoid")
 
 
+def _check_fit(system, params_path, banks):
+    """Raise, naming both files, unless each bank has the layers and channels of ``system``.
+
+    ``banks`` holds (path, bank) pairs; the fields checked are those of the
+    params file's ``system`` block.
+    """
+    spec = system.describe()
+    for path, bank in banks:
+        for key in ("lower", "upper"):
+            if key in spec and not 1 <= spec[key] <= bank.n_layers:
+                raise ValueError(f"{params_path}: system.{key} {spec[key]} is not a layer of "
+                                 f"{path}, which has layers 1..{bank.n_layers}")
+        if "channels" in spec and spec["channels"] != bank.shape[2]:
+            raise ValueError(f"{params_path}: system.channels {spec['channels']} does not fit "
+                             f"{path}, which has {bank.shape[2]} channels")
+
+
 def _cmd_gen_task(args):
     spec = _load_json(args.spec, SyntheticTaskSpec.from_dict) if args.spec else SyntheticTaskSpec()
     if args.seed is not None:
@@ -163,6 +180,7 @@ def _cmd_inspect_bank(args):
 def _cmd_fuse(args):
     bank = read_bank(args.bank)
     system, _ = load_params(args.params)
+    _check_fit(system, args.params, [(args.bank, bank)])
     rows = list(range(bank.shape[0]))
     out_bank = LayerBank(
         layers=[system.fused_batch(bank, rows, training=False).data],  # no graph held while writing
@@ -265,6 +283,7 @@ def _cmd_cossim(args):
     inputs = [args.src, *args.tgt]
     if args.params:
         system, _ = load_params(args.params)
+        _check_fit(system, args.params, zip([args.src, *args.tgt], [source, *targets]))
         inputs.append(args.params)
     else:
         system = build_system(

@@ -114,6 +114,11 @@ class GateParams:
                     f"{name} branch kernels {k1.shape}/{k2.shape} do not match "
                     f"channels={self.channels}, reduction={self.reduction}"
                 )
+            for field, bias, width in (("conv1", branch.conv1_bias, inner),
+                                       ("conv2", branch.conv2_bias, self.channels)):
+                if bias.data.shape != (width,):
+                    raise ValueError(f"gate.{name}.{field}.bias has shape {bias.data.shape}, "
+                                     f"expected ({width},) to fit its kernel")
             if branch.bn1.channels != inner or branch.bn2.channels != self.channels:
                 raise ValueError(f"{name} branch norm widths do not match its kernels")
         return self

@@ -5,6 +5,10 @@ returns a new graph node; ``backward`` replays the graph in reverse and
 leaves exact gradients on each node it visited, including the paths through
 the batch statistics of training-mode normalization.  Given ``wrt``, it
 computes only the gradients that lead to those tensors and keeps only theirs.
+
+An op's backward closure only computes: it returns its parents' gradients,
+and ``backward`` alone stores them, copies a passed-through one and adds up
+the contributions a tensor receives along several paths.
 """
 
 import numpy as np
@@ -66,22 +70,14 @@ def parameter(data):
     return Tensor(np.array(data, dtype=np.float64))
 
 
-def _accumulate(node, grad, copy=False):
-    # No two nodes' gradients share memory.  A first gradient is stored as
-    # given, so callers pass an array they have just allocated, or set
-    # ``copy`` when they pass their own incoming gradient through; a later
-    # one is added out of place, never into a stored array.
-    if node.grad is None:
-        node.grad = grad.copy() if copy else grad
-    else:
-        node.grad = node.grad + grad
-
-
 def _node(data, parents, backward):
-    """Graph node over ``data``; ``backward(g, wanted)`` sends its gradient to ``parents``.
+    """Graph node over ``data``; ``backward(g, wanted)`` returns its parents' gradients.
 
-    ``wanted`` holds the ids of the nodes that need a gradient; the closure
-    computes and accumulates a parent's gradient only if its id is there.
+    The closure returns one gradient per parent, in ``parents`` order: the
+    incoming ``g`` itself or an array it has just made.  ``wanted`` holds the
+    ids of the nodes that need a gradient; the closure may skip the work for
+    a parent whose id is not there and return None in its place, and
+    ``backward`` stores nothing into such a parent either way.
 
     Every op passes a float64 ndarray it has just made, so ``Tensor``'s
     conversion is skipped.
@@ -109,6 +105,20 @@ def _topological_order(root):
         else:
             order.append(node)
     return order
+
+
+def _send(node, wanted):
+    # The one place gradients are stored, in a frame of its own so no local
+    # outlives the step.  No two share memory: a first gradient is stored as
+    # returned, copied if it is ``g`` itself; a later one is added out of place.
+    g = node.grad
+    for parent, grad in zip(node._parents, node._backward(g, wanted)):
+        if id(parent) not in wanted:
+            continue
+        if parent.grad is None:
+            parent.grad = grad.copy() if grad is g else grad
+        else:
+            parent.grad = parent.grad + grad
 
 
 def backward(loss, seed=1.0, wrt=None):
@@ -148,7 +158,7 @@ def backward(loss, seed=1.0, wrt=None):
     loss.grad = np.full_like(loss.data, float(seed))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad, wanted)
+            _send(node, wanted)
             if keep is not None and id(node) not in keep:
                 node.grad = None
 
@@ -162,6 +172,11 @@ def _require_rank3(op, *tensors):
             )
 
 
+def _sum_tokens_to(grad, t):
+    """``grad`` summed over tokens where ``t`` holds one token broadcast over them."""
+    return grad if t.data.shape[1] == grad.shape[1] else grad.sum(axis=1, keepdims=True)
+
+
 def broadcast_add(a, b):
     """Elementwise sum; a token axis of length 1 replicates across tokens."""
     _require_rank3("broadcast_add", a, b)
@@ -172,13 +187,8 @@ def broadcast_add(a, b):
         )
 
     def _bw(g, wanted):
-        for side in (a, b):
-            if id(side) not in wanted:
-                continue
-            if side.data.shape[1] == g.shape[1]:
-                _accumulate(side, g, copy=True)
-            else:
-                _accumulate(side, g.sum(axis=1, keepdims=True))
+        return (_sum_tokens_to(g, a) if id(a) in wanted else None,
+                _sum_tokens_to(g, b) if id(b) in wanted else None)
 
     return _node(a.data + b.data, (a, b), _bw)
 
@@ -195,13 +205,8 @@ def elementwise_mul(a, b):
             )
 
     def _bw(g, wanted):
-        if id(a) in wanted:
-            _accumulate(a, g * b.data)
-        if id(b) in wanted:
-            gb = g * a.data
-            if b.data.shape[1] != g.shape[1]:
-                gb = gb.sum(axis=1, keepdims=True)
-            _accumulate(b, gb)
+        return (g * b.data if id(a) in wanted else None,
+                _sum_tokens_to(g * a.data, b) if id(b) in wanted else None)
 
     return _node(a.data * b.data, (a, b), _bw)
 
@@ -215,10 +220,7 @@ def sub(a, b):
         )
 
     def _bw(g, wanted):
-        if id(a) in wanted:
-            _accumulate(a, g, copy=True)
-        if id(b) in wanted:
-            _accumulate(b, -g)
+        return g, (-g if id(b) in wanted else None)
 
     return _node(a.data - b.data, (a, b), _bw)
 
@@ -228,8 +230,7 @@ def scale(t, factor):
     factor = float(factor)
 
     def _bw(g, wanted):
-        if id(t) in wanted:
-            _accumulate(t, g * factor)
+        return (g * factor,)
 
     return _node(t.data * factor, (t,), _bw)
 
@@ -238,8 +239,7 @@ def shift(t, offset):
     """Add a constant to every entry."""
 
     def _bw(g, wanted):
-        if id(t) in wanted:
-            _accumulate(t, g, copy=True)
+        return (g,)
 
     return _node(t.data + float(offset), (t,), _bw)
 
@@ -250,8 +250,7 @@ def mean_pool_tokens(w):
     tokens = w.data.shape[1]
 
     def _bw(g, wanted):
-        if id(w) in wanted:
-            _accumulate(w, np.repeat(g / tokens, tokens, axis=1))
+        return (np.repeat(g / tokens, tokens, axis=1),)
 
     # The sum and divide that ``ndarray.mean`` runs, without its Python layer:
     # the same bits.
@@ -275,12 +274,9 @@ def conv1x1(w, kernel, bias):
         )
 
     def _bw(g, wanted):
-        if id(w) in wanted:
-            _accumulate(w, g @ kernel.data.T)
-        if id(kernel) in wanted:
-            _accumulate(kernel, np.tensordot(w.data, g, axes=((0, 1), (0, 1))))
-        if id(bias) in wanted:
-            _accumulate(bias, g.sum(axis=(0, 1)))
+        return (g @ kernel.data.T if id(w) in wanted else None,
+                np.tensordot(w.data, g, axes=((0, 1), (0, 1))) if id(kernel) in wanted else None,
+                g.sum(axis=(0, 1)) if id(bias) in wanted else None)
 
     return _node(w.data @ kernel.data + bias.data, (w, kernel, bias), _bw)
 
@@ -290,8 +286,7 @@ def relu(t):
     mask = t.data > 0.0
 
     def _bw(g, wanted):
-        if id(t) in wanted:
-            _accumulate(t, g * mask)
+        return (g * mask,)
 
     return _node(np.maximum(t.data, 0.0), (t,), _bw)
 
@@ -306,8 +301,7 @@ def sigmoid(t):
     np.minimum(values, SIGMOID_CEIL, out=values)
 
     def _bw(g, wanted):
-        if id(t) in wanted:
-            _accumulate(t, g * values * (1.0 - values))
+        return (g * values * (1.0 - values),)
 
     return _node(values, (t,), _bw)
 
@@ -414,15 +408,12 @@ def batch_norm(w, state, training=False):
         # Both reductions also feed the input gradient of a training call.
         g_x_hat = np.add.reduce(g * x_hat, axis=(0, 1))
         g_sum = np.add.reduce(g, axis=(0, 1))
-        if id(gamma) in wanted:
-            _accumulate(gamma, g_x_hat)
-        if id(beta) in wanted:
-            _accumulate(beta, g_sum)
-        if id(w) in wanted:
-            if training:
-                gw = gamma.data * inv_std * (g - g_sum / count - x_hat * (g_x_hat / count))
-            else:
-                gw = g * (gamma.data * inv_std)
-            _accumulate(w, gw)
+        if id(w) not in wanted:
+            gw = None
+        elif training:
+            gw = gamma.data * inv_std * (g - g_sum / count - x_hat * (g_x_hat / count))
+        else:
+            gw = g * (gamma.data * inv_std)
+        return gw, g_x_hat, g_sum
 
     return _node(gamma.data * x_hat + beta.data, (w, gamma, beta), _bw)

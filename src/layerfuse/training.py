@@ -10,7 +10,7 @@ from .bank import DataError, check_document
 # ClassifierHead lives beside the systems; it stays importable from here.
 from .fusion import ClassifierHead, FusionSystem, build_system, init_head, stored_values
 from .seeding import STREAM_BATCHES, rng_stream
-from .tensor import DimensionError, Tensor, _accumulate, _node, backward, mean_pool_tokens
+from .tensor import DimensionError, Tensor, _node, backward, mean_pool_tokens
 
 
 @dataclass
@@ -79,11 +79,10 @@ def softmax_cross_entropy(logits, labels):
     probs = np.exp(log_probs)
 
     def _bw(g, wanted):
-        if id(logits) in wanted:
-            grad = probs.copy()
-            grad[rows, labels] -= 1.0
-            grad *= float(g) / count
-            _accumulate(logits, grad.reshape(data.shape))
+        grad = probs.copy()
+        grad[rows, labels] -= 1.0
+        grad *= float(g) / count
+        return (grad.reshape(data.shape),)
 
     return _node(np.asarray(-log_probs[rows, labels].mean()), (logits,), _bw)
 

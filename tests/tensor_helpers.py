@@ -2,14 +2,13 @@
 
 import numpy as np
 
-from layerfuse.tensor import _accumulate, _node
+from layerfuse.tensor import _node
 
 
 def tensor_sum(t):
     """Sum of all entries as a scalar node."""
 
     def _bw(g, wanted):
-        if id(t) in wanted:
-            _accumulate(t, np.full(t.data.shape, float(g)))
+        return (np.full(t.data.shape, float(g)),)
 
     return _node(np.asarray(t.data.sum()), (t,), _bw)

@@ -36,6 +36,7 @@ from layerfuse.gradcheck import (
     finite_difference_check,
 )
 from layerfuse import gate as gate_module
+from layerfuse import tensor as tensor_module
 from layerfuse.tensor import _topological_order
 from tensor_helpers import tensor_sum
 
@@ -364,6 +365,45 @@ def test_pass_through_gradients_are_copies():
     loss = tensor_sum(shift(sub(broadcast_add(x, y), y), 1.0))
     backward(loss)
     _assert_no_shared_gradients(loss)
+    # Both kept tensors receive the same passed-through gradient.
+    backward(tensor_sum(broadcast_add(x, y)), wrt=[x, y])
+    assert not np.shares_memory(x.grad, y.grad)
+
+
+def test_interior_node_in_wrt_keeps_the_full_pass_gradient():
+    x = parameter(RNG.normal(size=(2, 3, 4)))
+    r = relu(x)
+    loss = tensor_sum(elementwise_mul(r, r))
+    backward(loss)
+    full = r.grad.copy()
+    backward(loss, wrt=[r])
+    assert r.grad.tobytes() == full.tobytes()
+    assert x.grad is None
+
+
+# Op name -> a node it builds from a (2, 3, 4) tensor.
+_OPS = {
+    "broadcast_add": lambda x: broadcast_add(x, x),
+    "elementwise_mul": lambda x: elementwise_mul(x, x),
+    "sub": lambda x: sub(x, x),
+    "scale": lambda x: scale(x, 2.0),
+    "shift": lambda x: shift(x, 1.0),
+    "mean_pool_tokens": mean_pool_tokens,
+    "conv1x1": lambda x: conv1x1(x, parameter(np.ones((4, 2))), parameter(np.zeros(2))),
+    "batch_norm": lambda x: batch_norm(x, BatchNormState(4)),
+    "relu": relu,
+    "sigmoid": sigmoid,
+    "softmax_cross_entropy": lambda x: softmax_cross_entropy(mean_pool_tokens(x), [0, 1]),
+}
+
+
+def test_each_op_closure_is_named_bw_inside_its_op():
+    # A per-op tracer names each backward step by its closure's qualified name.
+    ops = {name for name in tensor_module.__all__ if name[0].islower()} - {"parameter", "backward"}
+    assert set(_OPS) == ops | {"softmax_cross_entropy"}
+    x = parameter(RNG.normal(size=(2, 3, 4)))
+    for name, build in _OPS.items():
+        assert build(x)._backward.__qualname__ == f"{name}.<locals>._bw"
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -81,6 +81,20 @@ def _drop(dotted):
     return mutate
 
 
+def _cut(dotted, size):
+    """Keep the first ``size`` entries of the list at ``dotted``."""
+
+    def mutate(doc):
+        *parents, leaf = dotted.split(".")
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = node[leaf][:size]
+        return doc
+
+    return mutate
+
+
 # (dotted path the error must name, change that breaks a saved fusion file)
 MALFORMED_PARAMS = [
     ("system.upper", _drop("system.upper")),
@@ -89,6 +103,9 @@ MALFORMED_PARAMS = [
     ("head.bias", _drop("head.bias")),
     ("format", lambda doc: [doc]),
     ("variant", lambda doc: {**doc, "system": {**doc["system"], "variant": "bogus"}}),
+    ("gate.global.conv1.bias", _cut("gate.global.conv1.bias", 1)),
+    ("head.bias has shape", _cut("head.bias", 1)),
+    ("head.weight", _cut("head.weight", 7)),
 ]
 
 

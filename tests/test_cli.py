@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerfuse import BaselineSystem, LayerBank, SweepRow, init_head, read_bank, save_params, write_bank
+from layerfuse.fusion import LayerPair, build_fusion_system
 from layerfuse import cli
 from layerfuse.cli import main
 from layerfuse.synthetic import SyntheticTaskSpec
@@ -324,6 +325,33 @@ def test_fuse_malformed_params_exit_one(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(params) in err
     assert not (tmp_path / "f.bank").exists()
+
+
+# (params that do not fit the 3-layer, 8-channel workspace banks, field the error names)
+UNFIT_PARAMS = {
+    "channels": (build_fusion_system(LayerPair(1, 3), 16), "system.channels 16"),
+    "fusion-upper": (build_fusion_system(LayerPair(1, 9), 8), "system.upper 9"),
+    "baseline-upper": (BaselineSystem(upper=5), "system.upper 5"),
+}
+
+
+@pytest.mark.parametrize("command", ["fuse", "cossim"])
+@pytest.mark.parametrize("case", UNFIT_PARAMS)
+def test_params_that_do_not_fit_the_bank_exit_one(workspace, tmp_path, capsys, command, case):
+    system, field = UNFIT_PARAMS[case]
+    params, out = tmp_path / "p.json", tmp_path / "out"
+    save_params(system, init_head(system.describe().get("channels", 8), 4, seed=0), params)
+    bank = workspace / "src.bank"
+    if command == "fuse":
+        argv = ["fuse", "--bank", str(bank), "--params", str(params), "--out", str(out)]
+    else:
+        argv = ["cossim", "--src", str(bank), "--tgt", str(workspace / "tgt.bank"),
+                "--params", str(params), "--out", str(out)]
+    rc = main(argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {params}: {field} ") and str(bank) in err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to NaN
