@@ -6,7 +6,8 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .bank import DataError
-from .tensor import mean_pool_tokens
+from .fusion import eval_chunks
+from .tensor import Tensor, mean_pool_tokens
 from .training import SweepReport, SweepRow
 
 
@@ -44,9 +45,9 @@ def cosine_similarity(u, v):
 
 
 def sentence_embeddings(system, bank, rows):
-    """Mean-pooled system output per sentence, in eval mode."""
-    fused = system.fused_batch(bank, np.asarray(rows), training=False)
-    return mean_pool_tokens(fused).data[:, 0, :]
+    """Mean-pooled system output per sentence, in eval mode, fused one chunk of rows at a time."""
+    return np.concatenate([mean_pool_tokens(Tensor(fused)).data[:, 0, :]
+                           for fused in eval_chunks(system, bank, rows)])
 
 
 def avg_cross_lingual_similarity(system, source, targets, pairs=20, split="test"):

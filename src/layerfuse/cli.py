@@ -14,10 +14,12 @@ import time
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import REPORT_FORMATS, avg_cross_lingual_similarity, emit_report, render_csv
 from .bank import LayerBank, load_params, read_bank, save_params, write_bank
-from .fusion import build_system, init_head
+from .fusion import build_system, eval_chunks, init_head
 from .gate import GATE_MODES, VARIANTS
 from .gradcheck import classification_pipeline, finite_difference_check
 from .synthetic import SyntheticTaskSpec, generate_task
@@ -181,9 +183,15 @@ def _cmd_fuse(args):
     bank = read_bank(args.bank)
     system, _ = load_params(args.params)
     _check_fit(system, args.params, [(args.bank, bank)])
-    rows = list(range(bank.shape[0]))
+    # Filled one chunk at a time; each value is rounded once from float64, as
+    # write_bank rounds a float64 layer.
+    fused = np.empty(bank.shape, np.float32)
+    start = 0
+    for chunk in eval_chunks(system, bank, np.arange(bank.shape[0])):
+        fused[start:start + len(chunk)] = chunk
+        start += len(chunk)
     out_bank = LayerBank(
-        layers=[system.fused_batch(bank, rows, training=False).data],  # no graph held while writing
+        layers=[fused],
         labels=bank.labels,
         languages=list(bank.languages),
         splits=list(bank.splits),

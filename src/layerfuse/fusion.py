@@ -115,6 +115,28 @@ class BaselineSystem:
         return {}
 
 
+# Values per row chunk of the eval path: each float64 intermediate of one
+# chunk's forward holds at most this many (8 MB), unless one row holds more.
+EVAL_CHUNK_VALUES = 2**20
+
+
+def eval_chunks(system, bank, rows):
+    """Yield the eval-mode output of ``system`` on ``rows``, one chunk of rows at a time.
+
+    Each chunk has max(1, EVAL_CHUNK_VALUES // (tokens * channels)) rows, so
+    a forward's intermediates stay bounded whatever the row count.  Eval mode
+    has no term across sentences (normalization applies its running
+    statistics; pooling and the convolutions act per sentence), so the chunks
+    concatenated equal one forward over all of ``rows``, bit for bit.  Each
+    chunk's graph is freed before the next one is built.
+    """
+    rows = np.asarray(rows)
+    _, tokens, channels = bank.shape
+    size = max(1, EVAL_CHUNK_VALUES // (tokens * channels))
+    for start in range(0, rows.size, size):
+        yield system.fused_batch(bank, rows[start:start + size], training=False).data
+
+
 def stored_values(system, head):
     """Every stored value by its dotted name in a params file: ``gate.*`` then ``head.*``."""
     return {f"gate.{name}": value for name, value in system.state()} | head.parameters()

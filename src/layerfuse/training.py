@@ -8,7 +8,7 @@ import numpy as np
 
 from .bank import DataError, check_document
 # ClassifierHead lives beside the systems; it stays importable from here.
-from .fusion import ClassifierHead, FusionSystem, build_system, init_head, stored_values
+from .fusion import ClassifierHead, FusionSystem, build_system, eval_chunks, init_head, stored_values
 from .seeding import STREAM_BATCHES, rng_stream
 from .tensor import DimensionError, Tensor, _node, backward, mean_pool_tokens
 
@@ -235,13 +235,18 @@ def classification_metrics(predictions, labels):
 
 
 def evaluate(system, head, bank, split="test"):
-    """Accuracy and micro-F1 on one split, with normalization in eval mode."""
+    """Accuracy and micro-F1 on one split, with normalization in eval mode.
+
+    The split is fused and pooled one chunk of rows at a time (``eval_chunks``);
+    the head then runs once over all the pooled features.
+    """
     rows = bank.split_indices(split)
     if rows.size == 0:
         raise DataError(f"bank has no sentences in the {split!r} split")
-    fused = system.fused_batch(bank, rows, training=False)
-    features = mean_pool_tokens(fused)
-    logits = head.logits(features).data.reshape(rows.size, -1)
+    features = np.concatenate(
+        [mean_pool_tokens(Tensor(fused)).data for fused in eval_chunks(system, bank, rows)]
+    )
+    logits = head.logits(Tensor(features)).data.reshape(rows.size, -1)
     predictions = logits.argmax(axis=1)
     return classification_metrics(predictions, bank.labels[rows])
 

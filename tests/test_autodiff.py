@@ -418,12 +418,65 @@ def test_gradients_own_their_memory(variant, mode):
     assert all(p.grad.flags.writeable for p in params.values())
 
 
+def _eps_objective():
+    # A 1-channel gate with reduction 2, B=2, T=1: the global branch's
+    # training-mode variance lies near eps.
+    rng = np.random.default_rng(443)
+    l1, l2 = parameter(rng.normal(size=(2, 1, 1))), parameter(rng.normal(size=(2, 1, 1)))
+    gate = init_gate_params(1, reduction=2, seed=443)
+    head = init_head(1, 3, seed=443)
+    labels = rng.integers(0, 3, size=2)
+
+    def loss_fn():
+        fused, _ = fuse_layers(l1, l2, gate, "sigmoid", "global", training=True)
+        return softmax_cross_entropy(head.logits(mean_pool_tokens(fused)), labels)
+
+    return loss_fn, gate.parameters()
+
+
+# Correct gradients that fail at step 1e-5: a relu input 1.6e-5 from zero,
+# and a variance near eps.
+_STEP_TOO_LARGE = {
+    "relu kink": lambda: classification_pipeline(632, shape=(4, 8, 32), classes=3, variant="local"),
+    "variance near eps": _eps_objective,
+}
+
+
+@pytest.mark.parametrize("case", _STEP_TOO_LARGE)
+def test_failed_parameter_is_reprobed_at_a_tenth_of_the_step(case):
+    loss_fn, params = _STEP_TOO_LARGE[case]()
+    name = "global.conv1.kernel"
+    report = finite_difference_check(loss_fn, {name: params[name]}, step=1e-5, rtol=1e-4)
+    (check,) = report.parameters
+    assert not report.passed  # the verdict stays that of the step given
+    assert check.reprobe_error < check.max_error / 50
+    assert f"re-probe {name}[{check.worst_index}]: {check.max_error:.3e} at step 1e-05, " \
+           f"{check.reprobe_error:.3e} at step 1e-06" in report.format_table()
+
+
+def test_reprobe_keeps_the_error_of_a_wrong_gradient():
+    p = parameter([0.5, -1.5, 2.0])
+
+    def loss_fn():
+        def _bw(g, wanted):
+            return (3.0 * g * p.data,)  # the gradient of sum(p**2) is 2p
+
+        return tensor_module._node(np.asarray(np.sum(p.data ** 2)), (p,), _bw)
+
+    report = finite_difference_check(loss_fn, {"p": p})
+    (check,) = report.parameters
+    assert not check.passed
+    assert check.max_error == pytest.approx(1 / 3) and check.reprobe_error == pytest.approx(1 / 3)
+
+
 def test_report_table_format():
     loss_fn, params = classification_pipeline(3, shape=(2, 2, 4), classes=2)
     report = finite_difference_check(loss_fn, params)
     table = report.format_table()
     assert "parameter" in table and "head.weight" in table
     assert all(check.error_kind in ("relative", "absolute") for check in report.parameters)
+    assert all(check.reprobe_error is None for check in report.parameters)
+    assert "re-probe" not in table
 
 
 def _fused_objective(shape, variant, mode, training, seed):

@@ -38,6 +38,7 @@ from layerfuse import (
     write_bank,
 )
 from layerfuse.bank import MAGIC, ParamsFormatError
+from layerfuse.fusion import EVAL_CHUNK_VALUES
 from layerfuse.cli import main
 
 RNG = np.random.default_rng(404)
@@ -175,6 +176,16 @@ def write_bank(bank, path):
 original, cli.write_bank = cli.write_bank, write_bank
 assert cli.main(["fuse", "--bank", sys.argv[2], "--params", sys.argv[3], "--out", sys.argv[4]]) == 0
 print(rises[0])
+"""
+
+# Runs `fuse --bank argv[2] --params argv[3] --out argv[4]` and prints how far
+# the command raises the peak, in bytes, on its last line.
+_FUSE_RISE_SCRIPT = _VMHWM + """
+from layerfuse import cli
+
+before = peak()
+assert cli.main(["fuse", "--bank", sys.argv[2], "--params", sys.argv[3], "--out", sys.argv[4]]) == 0
+print(peak() - before)
 """
 
 
@@ -318,8 +329,8 @@ class TestBankRoundtrip:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
     def test_fuse_writes_without_the_graph(self, tmp_path):
-        # The eval graph is freed before the write, so the float32 cast of the
-        # fused layer fits under the forward pass's peak.
+        # No eval graph is alive at the write, and the fused layer is already
+        # float32, so the write fits under the forward pass's peak.
         shape = (32, 128, 384)
         rng = np.random.default_rng(7)
         bank_path, params, out = tmp_path / "in.bank", tmp_path / "params.json", tmp_path / "out.bank"
@@ -328,6 +339,21 @@ class TestBankRoundtrip:
         save_params(build_fusion_system(LayerPair(1, 2), 384, seed=0), init_head(384, 2, seed=0), params)
         rise = int(_run_script(_FUSE_PEAK_SCRIPT, bank_path, params, out).splitlines()[-1])
         assert rise < 0.25 * np.prod(shape) * 8
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_fuse_peak_is_bounded_by_one_chunk(self, tmp_path):
+        # The eval forward runs a chunk of rows at a time, so beyond the bank
+        # and the float32 output, fuse holds a fixed multiple of one chunk's
+        # float64 intermediates, whatever the sentence count: 179 MiB here,
+        # against 557 MiB for one forward over all 96 sentences.
+        shape = (96, 128, 384)
+        rng = np.random.default_rng(7)
+        bank_path, params, out = tmp_path / "in.bank", tmp_path / "params.json", tmp_path / "out.bank"
+        write_bank(LayerBank(layers=[rng.normal(size=shape).astype(np.float32) for _ in range(2)],
+                             labels=[0, 1] * 48, languages=["src"] * 96, splits=["test"] * 96), bank_path)
+        save_params(build_fusion_system(LayerPair(1, 2), 384, seed=0), init_head(384, 2, seed=0), params)
+        rise = int(_run_script(_FUSE_RISE_SCRIPT, bank_path, params, out).splitlines()[-1])
+        assert rise < bank_path.stat().st_size + 4 * np.prod(shape) + 20 * EVAL_CHUNK_VALUES * 8
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"

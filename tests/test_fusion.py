@@ -21,8 +21,14 @@ from layerfuse import (
     generate_task,
     init_gate_params,
     init_head,
+    save_params,
+    sentence_embeddings,
+    write_bank,
 )
-from layerfuse.fusion import stored_values
+from layerfuse import fusion
+from layerfuse.cli import main
+from layerfuse.fusion import FusionSystem, eval_chunks, stored_values
+from layerfuse.training import evaluate
 from tensor_helpers import tensor_sum
 
 RNG = np.random.default_rng(31)
@@ -216,3 +222,97 @@ class TestGatherWidening:
         ]
         assert fused[0].dtype == np.float64
         assert fused[0].tobytes() == fused[1].tobytes()
+
+
+class TestEvalChunks:
+    # 23 sentences of (3, 8): T*C = 24 values a row, so chunks of 5 rows end
+    # in a partial one.
+    SPEC = SyntheticTaskSpec(
+        train_sentences=12, test_sentences=11, channels=8, latent_dim=3,
+        tokens=3, n_layers=3, invariance=(0.9, 0.5, 0.1), seed=8,
+    )
+    ROW_VALUES = 3 * 8
+    # Chunk sizes in values: one row (as the floor and exactly), and five rows.
+    CHUNK_VALUES = [1, ROW_VALUES, 5 * ROW_VALUES]
+    SYSTEMS = [*((1, variant, mode) for variant in VARIANTS for mode in GATE_MODES),
+               (None, "full", "sigmoid")]
+
+    @staticmethod
+    def _system(lower, variant, mode):
+        """A system whose eval-mode normalization applies running statistics off their init."""
+        system = build_system(lower, 3, 8, variant, mode, seed=4)
+        rng = np.random.default_rng(12)
+        for name, value in system.state():
+            if name.endswith("running_mean"):
+                value[...] = rng.normal(size=value.shape)
+            elif name.endswith("running_var"):
+                value[...] = rng.uniform(0.5, 2.0, size=value.shape)
+        return system
+
+    @pytest.mark.parametrize("values", CHUNK_VALUES)
+    @pytest.mark.parametrize("lower,variant,mode", SYSTEMS)
+    def test_chunks_equal_one_forward(self, monkeypatch, values, lower, variant, mode):
+        bank = generate_task(self.SPEC)[0]
+        system = self._system(lower, variant, mode)
+        rows = np.arange(bank.shape[0])[::-1]
+        whole = system.fused_batch(bank, rows, training=False).data
+        monkeypatch.setattr(fusion, "EVAL_CHUNK_VALUES", values)
+        chunks = list(eval_chunks(system, bank, rows))
+        size = max(1, values // self.ROW_VALUES)
+        assert [len(chunk) for chunk in chunks] == [len(rows[i:i + size]) for i in range(0, len(rows), size)]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+    @staticmethod
+    def _eval_outputs(system, bank, bank_path, params, out):
+        """Every eval caller's result: test metrics, embeddings and the fused bank's bytes."""
+        assert main(["fuse", "--bank", str(bank_path), "--params", str(params), "--out", str(out),
+                     "--manifest", str(out) + ".json"]) == 0
+        head = init_head(8, bank.num_classes, seed=2)
+        return (evaluate(system, head, bank, "test"),
+                sentence_embeddings(system, bank, range(bank.shape[0])).tobytes(),
+                out.read_bytes())
+
+    @pytest.mark.parametrize("lower,variant,mode", SYSTEMS)
+    def test_eval_callers_match_one_chunk(self, monkeypatch, tmp_path, lower, variant, mode):
+        bank = generate_task(self.SPEC)[0]
+        system = self._system(lower, variant, mode)
+        bank_path, params = tmp_path / "in.bank", tmp_path / "params.json"
+        write_bank(bank, bank_path)
+        save_params(system, init_head(8, bank.num_classes, seed=2), params)
+        # The default chunk holds every row of this bank.
+        assert fusion.EVAL_CHUNK_VALUES >= 23 * self.ROW_VALUES
+        one = self._eval_outputs(system, bank, bank_path, params, tmp_path / "one.bank")
+        for values in self.CHUNK_VALUES:
+            monkeypatch.setattr(fusion, "EVAL_CHUNK_VALUES", values)
+            assert self._eval_outputs(system, bank, bank_path, params, tmp_path / f"{values}.bank") == one
+
+    def test_eval_callers_never_exceed_one_chunk(self, monkeypatch, tmp_path):
+        bank_path, tgt_path = tmp_path / "src.bank", tmp_path / "tgt.bank"
+        for bank, path in zip(generate_task(self.SPEC), (bank_path, tgt_path)):
+            write_bank(bank, path)
+        calls = []
+
+        def recording(original):
+            def fused_batch(self, bank, rows, training=False):
+                calls.append((len(rows), training))
+                return original(self, bank, rows, training)
+            return fused_batch
+
+        for cls in (FusionSystem, BaselineSystem):
+            monkeypatch.setattr(cls, "fused_batch", recording(cls.fused_batch))
+        monkeypatch.setattr(fusion, "EVAL_CHUNK_VALUES", 2 * self.ROW_VALUES)
+        files = ["--src", str(bank_path), "--tgt", str(tgt_path)]
+        for which in (["--lower", "1"], ["--baseline"]):
+            params = tmp_path / "params.json"
+            commands = [
+                # Trains no step, then evaluates both test splits.
+                ["train", *files, *which, "--epochs", "0", "--out", str(params)],
+                ["fuse", "--bank", str(bank_path), "--params", str(params), "--out", str(tmp_path / "f.bank")],
+                ["cossim", *files, *which, "--pairs", "9"],
+                ["cossim", *files, "--params", str(params), "--pairs", "9"],
+            ]
+            for argv in commands:
+                calls.clear()
+                assert main([*argv, "--manifest", str(tmp_path / "m.json")]) == 0
+                assert len(calls) > 2 and all(not training for _, training in calls), argv
+                assert max(rows for rows, _ in calls) == 2, argv
