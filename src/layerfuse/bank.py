@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import BaselineSystem, ClassifierHead, FusionSystem, LayerPair, stored_values
-from .gate import BranchParams, GateParams
-from .tensor import Tensor, parameter
+from .fusion import stored_template, stored_values
+from .tensor import BatchNormState, Tensor
 
 MAGIC = b"DLFB"
 BANK_VERSION = 1
@@ -299,10 +298,8 @@ def save_params(system, head, path):
     rendered with full shortest-roundtrip precision, so reloading reproduces
     every value bit-exactly; a non-finite value is an error naming its path.
     """
-    named = {
-        name: value.data if isinstance(value, Tensor) else value
-        for name, value in stored_values(system, head).items()
-    }
+    values = ((name, getattr(owner, attribute)) for name, owner, attribute in stored_values(system, head))
+    named = {name: value.data if isinstance(value, Tensor) else value for name, value in values}
     for name, value in named.items():
         if not np.isfinite(value).all():
             raise ValueError(f"{path}: refusing to write non-finite parameter {name}")
@@ -327,8 +324,40 @@ def _lookup(doc, dotted):
     return node
 
 
+def _fill(owner, attribute, value, name):
+    """Store a finite number, or array of numbers, of the template's shape at ``owner.attribute``.
+
+    A filled norm then runs its own checks; each refusal names ``name``.
+    """
+    place = getattr(owner, attribute)
+    held = place.data if isinstance(place, Tensor) else place
+    try:
+        value = np.asarray(value)
+    except ValueError:
+        raise ValueError(f"{name} is not a rectangular array") from None
+    if value.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers, got dtype {value.dtype}")
+    if value.shape != np.shape(held):
+        raise ValueError(f"{name} has shape {value.shape}, expected {np.shape(held)}")
+    value = value.astype(np.float64, copy=False)
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    if isinstance(place, Tensor):
+        place.data = value
+    else:
+        setattr(owner, attribute, value if value.ndim else float(value))
+    if isinstance(owner, BatchNormState):
+        try:
+            owner._validate()
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from None
+
+
 def load_params(path):
-    """Load (system, head) from a parameter file, validating the schema."""
+    """Load (system, head) from a parameter file: fill ``stored_template`` through ``stored_values``.
+
+    Each refusal names the file and the dotted field.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
@@ -341,35 +370,12 @@ def load_params(path):
     try:
         if get("format") != PARAMS_FORMAT:
             raise ParamsFormatError(f"unknown format {get('format')!r}")
-        if get("version") != PARAMS_VERSION:
-            raise ParamsFormatError(f"unsupported schema version {get('version')!r}")
-        head = ClassifierHead(weight=parameter(get("head.weight")), bias=parameter(get("head.bias")))
-        weight = head.weight.data
-        if weight.ndim != 2:
-            raise ParamsFormatError(f"head.weight must be 2-D, got shape {weight.shape}")
-        if head.bias.data.shape != weight.shape[1:]:
-            raise ParamsFormatError(f"head.bias has shape {head.bias.data.shape}, expected "
-                                    f"({weight.shape[1]},) to fit head.weight {weight.shape}")
-        kind = get("system.kind")
-        if kind == "baseline":
-            return BaselineSystem(upper=int(get("system.upper"))), head
-        if kind != "fusion":
-            raise ParamsFormatError(f"unknown system kind {kind!r}")
-        params = GateParams(
-            channels=int(get("system.channels")),
-            reduction=int(get("system.reduction")),
-            global_branch=BranchParams.from_state(lambda name: get(f"gate.global.{name}")),
-            local_branch=BranchParams.from_state(lambda name: get(f"gate.local.{name}")),
-        ).validate()
-        if weight.shape[0] != params.channels:
-            raise ParamsFormatError(f"head.weight has {weight.shape[0]} rows, expected "
-                                    f"system.channels={params.channels}")
-        system = FusionSystem(
-            pair=LayerPair(int(get("system.lower")), int(get("system.upper"))),
-            params=params,
-            variant=get("system.variant"),
-            mode=get("system.gate_mode"),
-        )
+        version = get("version")
+        if type(version) is not int or version != PARAMS_VERSION:
+            raise ParamsFormatError(f"unsupported schema version {version!r}")
+        system, head = stored_template(get)
+        for name, owner, attribute in stored_values(system, head):
+            _fill(owner, attribute, get(name), name)
         return system, head
     except (TypeError, ValueError) as err:
         raise ParamsFormatError(f"{path}: {err}") from err

@@ -9,6 +9,7 @@ from .gate import (
     check_gate_mode,
     check_variant,
     gate_forward,
+    gate_template,
     init_gate_params,
 )
 from .seeding import STREAM_HEAD, rng_stream
@@ -138,8 +139,48 @@ def eval_chunks(system, bank, rows):
 
 
 def stored_values(system, head):
-    """Every stored value by its dotted name in a params file: ``gate.*`` then ``head.*``."""
-    return {f"gate.{name}": value for name, value in system.state()} | head.parameters()
+    """Where each value of a params file lives, ``gate.*`` then ``head.*``: (dotted name, owner, attribute).
+
+    ``save_params`` writes the values in this order and ``load_params`` reads them back through it.
+    """
+    for name, owner, attribute in system.state():
+        yield f"gate.{name}", owner, attribute
+    yield "head.weight", head, "weight"
+    yield "head.bias", head, "bias"
+
+
+def stored_template(get):
+    """The (system, head) a params file describes, zeros in every stored value; ``get(dotted name)`` reads it.
+
+    The head has the stored head weight's shape, its rows a fusion system's channels.
+    """
+    def integer(key):
+        value = get(f"system.{key}")
+        if type(value) is not int:
+            raise ValueError(f"system.{key} must be an integer, got {value!r}")
+        return value
+
+    kind = get("system.kind")
+    if kind == "baseline":
+        system = BaselineSystem(upper=integer("upper"))
+    elif kind == "fusion":
+        system = FusionSystem(
+            pair=LayerPair(integer("lower"), integer("upper")),
+            params=gate_template(integer("channels"), integer("reduction")),
+            variant=get("system.variant"),
+            mode=get("system.gate_mode"),
+        )
+    else:
+        raise ValueError(f"unknown system kind {kind!r}")
+    weight = get("head.weight")  # outside the try: a missing block names itself
+    try:
+        rows, classes = np.shape(weight)
+    except ValueError:
+        raise ValueError("head.weight must be a 2-D array") from None
+    if isinstance(system, FusionSystem):
+        rows = system.params.channels
+    head = ClassifierHead(weight=parameter(np.zeros((rows, classes))), bias=parameter(np.zeros(classes)))
+    return system, head
 
 
 def build_fusion_system(pair, channels, variant="full", mode="sigmoid", seed=0):

@@ -11,6 +11,8 @@ gate from two pooled branches or two per-token branches.
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .seeding import STREAM_GATE, rng_stream
 from .tensor import (
     BatchNormState,
@@ -59,31 +61,19 @@ class BranchParams:
     bn2: BatchNormState
 
     def state(self):
-        """Every stored value by dotted name, running statistics included.
+        """Where each stored value lives, running statistics included: (dotted name, owner, attribute).
 
-        Field ``conv1_kernel`` is named ``conv1.kernel``; a norm field ``bn1``
-        contributes ``bn1.gamma`` through ``bn1.momentum``.
+        Field ``conv1_kernel`` is named ``conv1.kernel`` and lives on the
+        branch; a norm field ``bn1`` contributes ``bn1.gamma`` through
+        ``bn1.momentum``, which live on the norm.
         """
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, BatchNormState):
                 for name in BatchNormState.STATE:
-                    yield f"{f.name}.{name}", getattr(value, name)
+                    yield f"{f.name}.{name}", value, name
             else:
-                yield f.name.replace("_", "."), value
-
-    @classmethod
-    def from_state(cls, get):
-        """Rebuild a branch from ``get(dotted name)``; the inverse of ``state``."""
-        values = {}
-        for f in fields(cls):
-            if f.type is BatchNormState:
-                values[f.name] = BatchNormState.from_arrays(
-                    **{name: get(f"{f.name}.{name}") for name in BatchNormState.STATE}
-                )
-            else:
-                values[f.name] = parameter(get(f.name.replace("_", ".")))
-        return cls(**values)
+                yield f.name.replace("_", "."), self, f.name
 
 
 @dataclass
@@ -96,47 +86,36 @@ class GateParams:
     local_branch: BranchParams
 
     def state(self):
-        """Every stored value of both branches by dotted name."""
+        """Where each stored value of both branches lives, as ``BranchParams.state`` gives it."""
         for prefix, branch in (("global", self.global_branch), ("local", self.local_branch)):
-            for name, value in branch.state():
-                yield f"{prefix}.{name}", value
+            for name, owner, attribute in branch.state():
+                yield f"{prefix}.{name}", owner, attribute
 
     def parameters(self):
         """The trainable tensors of ``state``."""
-        return {name: value for name, value in self.state() if isinstance(value, Tensor)}
-
-    def validate(self):
-        inner = inner_width(self.channels, self.reduction)
-        for name, branch in (("global", self.global_branch), ("local", self.local_branch)):
-            k1, k2 = branch.conv1_kernel.data, branch.conv2_kernel.data
-            if k1.shape != (self.channels, inner) or k2.shape != (inner, self.channels):
-                raise ValueError(
-                    f"{name} branch kernels {k1.shape}/{k2.shape} do not match "
-                    f"channels={self.channels}, reduction={self.reduction}"
-                )
-            for field, bias, width in (("conv1", branch.conv1_bias, inner),
-                                       ("conv2", branch.conv2_bias, self.channels)):
-                if bias.data.shape != (width,):
-                    raise ValueError(f"gate.{name}.{field}.bias has shape {bias.data.shape}, "
-                                     f"expected ({width},) to fit its kernel")
-            if branch.bn1.channels != inner or branch.bn2.channels != self.channels:
-                raise ValueError(f"{name} branch norm widths do not match its kernels")
-        return self
+        return {name: getattr(o, a) for name, o, a in self.state() if isinstance(getattr(o, a), Tensor)}
 
 
-def _init_branch(rng, channels, inner, zero_second):
-    kernel1 = parameter(rng.normal(0.0, math.sqrt(2.0 / channels), (channels, inner)))
-    kernel2_data = rng.normal(0.0, math.sqrt(2.0 / inner), (inner, channels))
-    if zero_second:
-        kernel2_data = kernel2_data * 0.0
-    return BranchParams(
-        conv1_kernel=kernel1,
-        conv1_bias=parameter([0.0] * inner),
-        bn1=BatchNormState(inner),
-        conv2_kernel=parameter(kernel2_data),
-        conv2_bias=parameter([0.0] * channels),
-        bn2=BatchNormState(channels),
-    )
+def gate_template(channels, reduction):
+    """Gate parameters of zero kernels and biases and fresh norms, for a draw or a load to fill.
+
+    Kernels are read-only zero views: a freed kernel-sized array would raise glibc's mmap threshold.
+    """
+    if channels < 1 or reduction < 1:
+        raise ValueError("channels and reduction must be positive")
+    inner = inner_width(channels, reduction)
+
+    def branch():
+        return BranchParams(
+            conv1_kernel=Tensor(np.broadcast_to(0.0, (channels, inner))),
+            conv1_bias=parameter(np.zeros(inner)),
+            bn1=BatchNormState(inner),
+            conv2_kernel=Tensor(np.broadcast_to(0.0, (inner, channels))),
+            conv2_bias=parameter(np.zeros(channels)),
+            bn2=BatchNormState(channels),
+        )
+
+    return GateParams(channels=channels, reduction=reduction, global_branch=branch(), local_branch=branch())
 
 
 def init_gate_params(channels, reduction=4, scheme="kaiming", seed=0):
@@ -146,19 +125,17 @@ def init_gate_params(channels, reduction=4, scheme="kaiming", seed=0):
     "zero_gate" additionally zeroes the second conv of each branch so the
     pre-sigmoid activations are exactly zero and the gate is exactly 0.5.
     """
-    if channels < 1 or reduction < 1:
-        raise ValueError("channels and reduction must be positive")
+    params = gate_template(channels, reduction)
     if scheme not in INIT_SCHEMES:
         raise ValueError(f"init scheme must be one of {INIT_SCHEMES}, got {scheme!r}")
     rng = rng_stream(seed, STREAM_GATE)
     inner = inner_width(channels, reduction)
-    zero_second = scheme == "zero_gate"
-    return GateParams(
-        channels=channels,
-        reduction=reduction,
-        global_branch=_init_branch(rng, channels, inner, zero_second),
-        local_branch=_init_branch(rng, channels, inner, zero_second),
-    )
+    for branch in (params.global_branch, params.local_branch):
+        branch.conv1_kernel.data = rng.normal(0.0, math.sqrt(2.0 / channels), (channels, inner))
+        kernel2 = rng.normal(0.0, math.sqrt(2.0 / inner), (inner, channels))
+        # Multiplied, not zeroed: a negative draw leaves -0.0, which a params file records.
+        branch.conv2_kernel.data = kernel2 * 0.0 if scheme == "zero_gate" else kernel2
+    return params
 
 
 def _bottleneck(w, branch, pool, training):

@@ -325,33 +325,10 @@ class BatchNormState:
         self.momentum = momentum
         self._validate()
 
-    # Attributes that hold stored values; ``from_arrays`` takes them as keywords.
+    # Attributes that hold stored values, in the order a params file's walk visits them.
     STATE = ("gamma", "beta", "running_mean", "running_var", "eps", "momentum")
 
-    @classmethod
-    def from_arrays(cls, gamma, beta, running_mean, running_var, eps, momentum):
-        state = cls(len(np.atleast_1d(gamma)), eps=eps, momentum=momentum)
-        state.gamma = parameter(gamma)
-        state.beta = parameter(beta)
-        state.running_mean = np.array(running_mean, dtype=np.float64)
-        state.running_var = np.array(running_var, dtype=np.float64)
-        state._validate()
-        return state
-
     def _validate(self):
-        lengths = {
-            self.gamma.data.shape,
-            self.beta.data.shape,
-            self.running_mean.shape,
-            self.running_var.shape,
-        }
-        if len(lengths) != 1 or self.gamma.data.ndim != 1:
-            raise DimensionError(
-                "batch norm parameter vectors must share one 1-D shape, got "
-                f"gamma {self.gamma.data.shape}, beta {self.beta.data.shape}, "
-                f"running_mean {self.running_mean.shape}, "
-                f"running_var {self.running_var.shape}"
-            )
         if not self.eps > 0:
             raise ValueError("batch norm eps must be positive")
         if not 0.0 < self.momentum < 1.0:

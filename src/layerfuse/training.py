@@ -7,8 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bank import DataError, check_document
-# ClassifierHead lives beside the systems; it stays importable from here.
-from .fusion import ClassifierHead, FusionSystem, build_system, eval_chunks, init_head, stored_values
+from .fusion import FusionSystem, build_system, eval_chunks, init_head, stored_values
 from .seeding import STREAM_BATCHES, rng_stream
 from .tensor import DimensionError, Tensor, _node, backward, mean_pool_tokens
 
@@ -179,7 +178,7 @@ def train(system, head, bank, cfg):
         bank.layer(system.pair.upper)
     params = {**system.parameters(), **head.parameters()}
     optimizer = AdamW(params, cfg)
-    named = stored_values(system, head)
+    named = {name: getattr(owner, attribute) for name, owner, attribute in stored_values(system, head)}
     # batch_norm updates the running statistics in place, so these stay
     # current; the empty leading array lets a baseline concatenate none.
     running = [np.zeros(0), *(v for v in named.values() if isinstance(v, np.ndarray))]

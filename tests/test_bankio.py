@@ -38,7 +38,7 @@ from layerfuse import (
     write_bank,
 )
 from layerfuse.bank import MAGIC, ParamsFormatError
-from layerfuse.fusion import EVAL_CHUNK_VALUES
+from layerfuse.fusion import EVAL_CHUNK_VALUES, stored_values
 from layerfuse.cli import main
 
 RNG = np.random.default_rng(404)
@@ -84,13 +84,18 @@ def _drop(dotted):
 
 def _cut(dotted, size):
     """Keep the first ``size`` entries of the list at ``dotted``."""
+    return _set(dotted, lambda value: value[:size])
+
+
+def _set(dotted, change):
+    """Replace the value at ``dotted`` by ``change(value)``."""
 
     def mutate(doc):
         *parents, leaf = dotted.split(".")
         node = doc
         for key in parents:
             node = node[key]
-        node[leaf] = node[leaf][:size]
+        node[leaf] = change(node[leaf])
         return doc
 
     return mutate
@@ -107,6 +112,33 @@ MALFORMED_PARAMS = [
     ("gate.global.conv1.bias", _cut("gate.global.conv1.bias", 1)),
     ("head.bias has shape", _cut("head.bias", 1)),
     ("head.weight", _cut("head.weight", 7)),
+    ("gate.local.conv2.kernel has shape (1, 8), expected (2, 8)", _cut("gate.local.conv2.kernel", 1)),
+    ("gate.global.bn1.beta has shape (1,), expected (2,)", _cut("gate.global.bn1.beta", 1)),
+    ("gate.global.bn1.gamma holds a non-finite value",
+     _set("gate.global.bn1.gamma", lambda v: [float("nan"), *v[1:]])),
+    ("head.bias holds a non-finite value", _set("head.bias", lambda v: [*v[:-1], float("inf")])),
+    ("gate.local.bn2.eps holds a non-finite value", _set("gate.local.bn2.eps", lambda v: float("-inf"))),
+    ("gate.global.bn1.running_var: batch norm running variance must be non-negative",
+     _set("gate.global.bn1.running_var", lambda v: [-1.0, *v[1:]])),
+    ("gate.local.bn1.momentum: batch norm momentum must lie in (0, 1)",
+     _set("gate.local.bn1.momentum", lambda v: 1.0)),
+    ("system.upper must be an integer, got 2.9", _set("system.upper", lambda v: 2.9)),
+    ("system.upper must be an integer, got '2'", _set("system.upper", lambda v: "2")),
+    ("system.lower must be an integer, got True", _set("system.lower", lambda v: True)),
+    ("system.reduction must be an integer, got 4.5", _set("system.reduction", lambda v: 4.5)),
+    ("system.channels must be an integer, got 8.0", _set("system.channels", lambda v: 8.0)),
+    ("unsupported schema version True", _set("version", lambda v: True)),
+    ("gate.global.bn1.eps must hold numbers, got dtype <U4", _set("gate.global.bn1.eps", lambda v: "1e-5")),
+    ("gate.global.bn2.eps must hold numbers, got dtype bool", _set("gate.global.bn2.eps", lambda v: True)),
+    ("gate.local.conv1.bias must hold numbers, got dtype <U3",
+     _set("gate.local.conv1.bias", lambda v: ["0.5"] * len(v))),
+    ("head.bias must hold numbers, got dtype bool", _set("head.bias", lambda v: [True] * len(v))),
+    ("gate.global.conv2.kernel must hold numbers, got dtype object",
+     _set("gate.global.conv2.kernel", lambda v: [[None] * len(v[0]), *v[1:]])),
+    ("gate.local.conv1.kernel is not a rectangular array",
+     _set("gate.local.conv1.kernel", lambda v: [v[0][:1], *v[1:]])),
+    ("head.weight must be a 2-D array", _set("head.weight", lambda v: v[0])),
+    ("missing block head.weight", _drop("head.weight")),
 ]
 
 
@@ -748,7 +780,8 @@ class TestParamsRoundtrip:
 def _json_oracle(system, head):
     """The v1 parameter document rendered by ``json`` itself, arrays as lists."""
     doc = {"format": "layerfuse-params", "version": 1, "system": system.describe(), "gate": None}
-    for dotted, value in [*((f"gate.{n}", v) for n, v in system.state()), *head.parameters().items()]:
+    gate = [(f"gate.{n}", getattr(o, a)) for n, o, a in system.state()]
+    for dotted, value in [*gate, *head.parameters().items()]:
         *parents, leaf = dotted.split(".")
         node = doc
         for key in parents:
@@ -758,6 +791,13 @@ def _json_oracle(system, head):
         data = value.data if isinstance(value, Tensor) else value
         node[leaf] = data.tolist() if isinstance(data, np.ndarray) else data
     return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def _stored_bytes(system, head):
+    """Every value a params file stores, by dotted name: its type and bytes."""
+    values = {name: getattr(owner, attr) for name, owner, attr in stored_values(system, head)}
+    values = {name: v.data if isinstance(v, Tensor) else v for name, v in values.items()}
+    return {name: (type(v), np.asarray(v).dtype, np.asarray(v).tobytes()) for name, v in values.items()}
 
 
 # Signed zero, the smallest subnormal, tiny and large magnitudes, integral floats.
@@ -782,7 +822,7 @@ def test_params_writer_matches_json_oracle(tmp_path_factory, width, variant, mod
     else:
         system = build_fusion_system(LayerPair(1, 2), width, variant=variant, mode=mode, seed=0)
     head = init_head(width, 3, seed=0)
-    state = [*(v for _, v in system.state()), *head.parameters().values()]
+    state = [*(getattr(o, a) for _, o, a in system.state()), *head.parameters().values()]
     for value in state:
         array = value.data if isinstance(value, Tensor) else value
         if isinstance(array, np.ndarray):
@@ -790,3 +830,17 @@ def test_params_writer_matches_json_oracle(tmp_path_factory, width, variant, mod
     path = tmp_path_factory.mktemp("params") / "params.json"
     save_params(system, head, path)
     assert path.read_text(encoding="utf-8") == _json_oracle(system, head)
+    # A negative running variance is written, but load refuses the first one
+    # it meets; the file is then written again with their magnitudes.
+    variances = [(name, getattr(owner, attr)) for name, owner, attr in stored_values(system, head)
+                 if attr == "running_var"]
+    negative = [name for name, value in variances if (value < 0).any()]
+    if negative:
+        with pytest.raises(ParamsFormatError, match=re.escape(f"{negative[0]}: batch norm running variance")):
+            load_params(path)
+        for _, value in variances:
+            np.abs(value, out=value)
+        save_params(system, head, path)
+    loaded_system, loaded_head = load_params(path)
+    assert loaded_system.describe() == system.describe()
+    assert _stored_bytes(loaded_system, loaded_head) == _stored_bytes(system, head)

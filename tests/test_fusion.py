@@ -157,9 +157,9 @@ class TestFusionSystem:
         l1 = Tensor(RNG.normal(size=(4, 3, 8)))
         l2 = Tensor(RNG.normal(size=(4, 3, 8)))
         system.forward(l1, l2, training=True)
-        before = [value.copy() for name, value in system.state() if "running_" in name]
+        before = [getattr(owner, attr).copy() for name, owner, attr in system.state() if "running_" in name]
         fused, _ = fuse_layers(l1, l2, system.params)
-        after = [value for name, value in system.state() if "running_" in name]
+        after = [getattr(owner, attr) for name, owner, attr in system.state() if "running_" in name]
         assert len(after) == 8
         for kept, now in zip(before, after):
             npt.assert_array_equal(now, kept)
@@ -176,8 +176,9 @@ class TestFusionSystem:
 
 
 def _stored_bytes(system):
-    return {name: np.asarray(value.data if isinstance(value, Tensor) else value).tobytes()
-            for name, value in stored_values(system, init_head(8, 3, seed=0)).items()}
+    head = init_head(8, 3, seed=0)
+    values = {name: getattr(owner, attr) for name, owner, attr in stored_values(system, head)}
+    return {name: np.asarray(v.data if isinstance(v, Tensor) else v).tobytes() for name, v in values.items()}
 
 
 class TestBuildSystem:
@@ -242,7 +243,8 @@ class TestEvalChunks:
         """A system whose eval-mode normalization applies running statistics off their init."""
         system = build_system(lower, 3, 8, variant, mode, seed=4)
         rng = np.random.default_rng(12)
-        for name, value in system.state():
+        for name, owner, attr in system.state():
+            value = getattr(owner, attr)
             if name.endswith("running_mean"):
                 value[...] = rng.normal(size=value.shape)
             elif name.endswith("running_var"):
