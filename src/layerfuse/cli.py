@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import REPORT_FORMATS, avg_cross_lingual_similarity, emit_report, render_csv
-from .bank import LayerBank, load_params, read_bank, save_params, write_bank
+from .bank import load_params, read_bank, save_params, write_bank
 from .fusion import build_system, eval_chunks, init_head
 from .gate import GATE_MODES, VARIANTS
 from .gradcheck import classification_pipeline, finite_difference_check
@@ -123,17 +123,6 @@ def _add_train_flags(parser):
     parser.add_argument("--weight-decay", type=float, default=None)
 
 
-def _add_system_flags(parser, upper=False, variant=True):
-    """Declare ``--upper`` when ``upper`` is set (a string is its help), then
-    ``--variant`` unless ``variant`` is false, then ``--gate-mode``."""
-    if upper:
-        parser.add_argument("--upper", type=int, default=None,
-                            help=None if upper is True else upper)
-    if variant:
-        parser.add_argument("--variant", choices=VARIANTS, default="full")
-    parser.add_argument("--gate-mode", choices=GATE_MODES, default="sigmoid")
-
-
 def _check_fit(system, params_path, banks):
     """Raise, naming both files, unless each bank has the layers and channels of ``system``.
 
@@ -190,13 +179,7 @@ def _cmd_fuse(args):
     for chunk in eval_chunks(system, bank, np.arange(bank.shape[0])):
         fused[start:start + len(chunk)] = chunk
         start += len(chunk)
-    out_bank = LayerBank(
-        layers=[fused],
-        labels=bank.labels,
-        languages=list(bank.languages),
-        splits=list(bank.splits),
-    )
-    write_bank(out_bank, args.out)
+    write_bank(replace(bank, layers=[fused]), args.out)
     print(f"wrote fused bank {args.out} ({system.config_id()})")
     config = {"system": system.config_id(), "bank": str(args.bank)}
     return config, [args.bank, args.params], [args.out], 0
@@ -355,27 +338,21 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def _common(sub):
-        sub.add_argument("--manifest", default=None, help="override the run-manifest path")
-
     sub = commands.add_parser("gen-task", help="generate parallel synthetic banks")
     sub.add_argument("--spec", default=None, help="task spec JSON file (defaults built in)")
     sub.add_argument("--seed", type=int, default=None, help="override the spec seed")
     sub.add_argument("--out-src", required=True)
     sub.add_argument("--out-tgt", required=True)
-    _common(sub)
     sub.set_defaults(func=_cmd_gen_task)
 
     sub = commands.add_parser("inspect-bank", help="validate and summarize a bank file")
     sub.add_argument("--bank", required=True)
-    _common(sub)
     sub.set_defaults(func=_cmd_inspect_bank)
 
     sub = commands.add_parser("fuse", help="write fused features for a whole bank")
     sub.add_argument("--bank", required=True)
     sub.add_argument("--params", required=True, help="parameter file from 'train'")
     sub.add_argument("--out", required=True)
-    _common(sub)
     sub.set_defaults(func=_cmd_fuse)
 
     sub = commands.add_parser("train", help="train one system on a source bank")
@@ -384,10 +361,11 @@ def build_parser():
     which = sub.add_mutually_exclusive_group(required=True)
     which.add_argument("--lower", type=int, help="lower layer index to fuse with the top layer")
     which.add_argument("--baseline", action="store_true", help="top layer only, no fusion")
-    _add_system_flags(sub, upper="upper layer (default: last)")
+    sub.add_argument("--upper", type=int, default=None, help="upper layer (default: last)")
+    sub.add_argument("--variant", choices=VARIANTS, default="full")
+    sub.add_argument("--gate-mode", choices=GATE_MODES, default="sigmoid")
     sub.add_argument("--out", required=True, help="where to write the parameter file")
     _add_train_flags(sub)
-    _common(sub)
     sub.set_defaults(func=_cmd_train)
 
     sub = commands.add_parser("sweep", help="baseline plus one row per fused lower layer")
@@ -395,24 +373,25 @@ def build_parser():
     sub.add_argument("--tgt", required=True)
     sub.add_argument("--layers", type=_parse_int_list, default=None,
                      help="lower layers to sweep, e.g. '1..12' (default: all)")
-    _add_system_flags(sub, upper=True)
+    sub.add_argument("--upper", type=int, default=None)
+    sub.add_argument("--variant", choices=VARIANTS, default="full")
+    sub.add_argument("--gate-mode", choices=GATE_MODES, default="sigmoid")
     sub.add_argument("--report", required=True, help="CSV report path")
     sub.add_argument("--json-report", default=None, help="also write a JSON report here")
     sub.add_argument("--jobs", type=int, default=1, help="parallel rows (same output for any N)")
     _add_train_flags(sub)
-    _common(sub)
     sub.set_defaults(func=_cmd_sweep)
 
     sub = commands.add_parser("ablate", help="compare full/global/local gate variants")
     sub.add_argument("--src", required=True)
     sub.add_argument("--tgt", required=True)
     sub.add_argument("--lower", type=int, required=True)
-    _add_system_flags(sub, upper=True, variant=False)
+    sub.add_argument("--upper", type=int, default=None)
+    sub.add_argument("--gate-mode", choices=GATE_MODES, default="sigmoid")
     sub.add_argument("--seeds", type=_parse_int_list, default=[0],
                      help="seeds to average over, e.g. '0..9'")
     sub.add_argument("--report", required=True)
     _add_train_flags(sub)
-    _common(sub)
     sub.set_defaults(func=_cmd_ablate)
 
     sub = commands.add_parser("cossim", help="cross-language cosine-similarity probe")
@@ -423,13 +402,13 @@ def build_parser():
     which.add_argument("--params", help="use a trained system from this parameter file")
     which.add_argument("--baseline", action="store_true")
     which.add_argument("--lower", type=int, help="fresh system fusing this lower layer")
-    _add_system_flags(sub)
+    sub.add_argument("--variant", choices=VARIANTS, default="full")
+    sub.add_argument("--gate-mode", choices=GATE_MODES, default="sigmoid")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--pairs", type=int, default=20, help="parallel sentence pairs per language")
     sub.add_argument("--split", default="test")
     sub.add_argument("--format", choices=REPORT_FORMATS, default="table")
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
-    _common(sub)
     sub.set_defaults(func=_cmd_cossim)
 
     sub = commands.add_parser("gradcheck", help="verify gradients against finite differences")
@@ -440,9 +419,10 @@ def build_parser():
     sub.add_argument("--tokens", type=int, default=8)
     sub.add_argument("--channels", type=int, default=32)
     sub.add_argument("--classes", type=int, default=3)
-    _common(sub)
     sub.set_defaults(func=_cmd_gradcheck)
 
+    for sub in commands.choices.values():
+        sub.add_argument("--manifest", default=None, help="override the run-manifest path")
     return parser
 
 
