@@ -324,22 +324,31 @@ def _lookup(doc, dotted):
     return node
 
 
-def _fill(owner, attribute, value, name):
+def _holds_boolean(value):
+    """Whether a decoded JSON value is, or nests, ``true`` or ``false``."""
+    return type(value) is bool or type(value) is list and any(map(_holds_boolean, value))
+
+
+def _fill(owner, attribute, value, name, booleans):
     """Store a finite number, or array of numbers, of the template's shape at ``owner.attribute``.
 
-    A filled norm then runs its own checks; each refusal names ``name``.
+    numpy reads a boolean among numbers as 0 or 1, so when the file holds a
+    ``true`` or ``false`` token (``booleans``) the entries are checked for
+    one.  A filled norm then runs its own checks; each refusal names ``name``.
     """
     place = getattr(owner, attribute)
     held = place.data if isinstance(place, Tensor) else place
     try:
-        value = np.asarray(value)
+        array = np.asarray(value)
     except ValueError:
         raise ValueError(f"{name} is not a rectangular array") from None
-    if value.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must hold numbers, got dtype {value.dtype}")
-    if value.shape != np.shape(held):
-        raise ValueError(f"{name} has shape {value.shape}, expected {np.shape(held)}")
-    value = value.astype(np.float64, copy=False)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers, got dtype {array.dtype}")
+    if booleans and _holds_boolean(value):
+        raise ValueError(f"{name} holds a boolean among numbers")
+    if array.shape != np.shape(held):
+        raise ValueError(f"{name} has shape {array.shape}, expected {np.shape(held)}")
+    value = array.astype(np.float64, copy=False)
     if not np.isfinite(value).all():
         raise ValueError(f"{name} holds a non-finite value")
     if isinstance(place, Tensor):
@@ -359,10 +368,13 @@ def load_params(path):
     Each refusal names the file and the dotted field.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ParamsFormatError(f"{path}: not valid JSON ({err})") from err
+        text = handle.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ParamsFormatError(f"{path}: not valid JSON ({err})") from err
+    # A valid file holds neither token, so only a file that does has its entries checked.
+    booleans = "true" in text or "false" in text
 
     def get(dotted):
         return _lookup(doc, dotted)
@@ -375,7 +387,7 @@ def load_params(path):
             raise ParamsFormatError(f"unsupported schema version {version!r}")
         system, head = stored_template(get)
         for name, owner, attribute in stored_values(system, head):
-            _fill(owner, attribute, get(name), name)
+            _fill(owner, attribute, get(name), name, booleans)
         return system, head
     except (TypeError, ValueError) as err:
         raise ParamsFormatError(f"{path}: {err}") from err

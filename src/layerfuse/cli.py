@@ -132,7 +132,7 @@ def _check_fit(system, params_path, banks):
     spec = system.describe()
     for path, bank in banks:
         for key in ("lower", "upper"):
-            if key in spec and not 1 <= spec[key] <= bank.n_layers:
+            if key in spec and spec[key] > bank.n_layers:
                 raise ValueError(f"{params_path}: system.{key} {spec[key]} is not a layer of "
                                  f"{path}, which has layers 1..{bank.n_layers}")
         if "channels" in spec and spec["channels"] != bank.shape[2]:

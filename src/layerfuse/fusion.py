@@ -100,6 +100,10 @@ class BaselineSystem:
 
     upper: int
 
+    def __post_init__(self):
+        if self.upper < 1:
+            raise ValueError(f"baseline needs upper >= 1, got {self.upper}")
+
     def config_id(self):
         return "baseline"
 

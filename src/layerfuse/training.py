@@ -9,7 +9,7 @@ import numpy as np
 from .bank import DataError, check_document
 from .fusion import FusionSystem, build_system, eval_chunks, init_head, stored_values
 from .seeding import STREAM_BATCHES, rng_stream
-from .tensor import DimensionError, Tensor, _node, backward, mean_pool_tokens
+from .tensor import DegenerateBatchError, DimensionError, Tensor, _node, backward, mean_pool_tokens
 
 
 @dataclass
@@ -193,7 +193,12 @@ def train(system, head, bank, cfg):
         total = 0.0
         for batch, (start, stop) in enumerate(bounds, 1):
             rows = permuted[start:stop]
-            loss = _batch_loss(system, head, bank, rows, training=True)
+            try:
+                loss = _batch_loss(system, head, bank, rows, training=True)
+            except DegenerateBatchError as err:
+                raise DegenerateBatchError(
+                    f"{err}, at epoch {epoch}, batch {batch} with batch_size {cfg.batch_size}"
+                ) from err
             if not np.isfinite(loss.data):
                 raise ValueError(
                     f"training diverged: loss {float(loss.data)} at epoch {epoch}, batch {batch}"

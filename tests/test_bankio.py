@@ -139,6 +139,11 @@ MALFORMED_PARAMS = [
      _set("gate.local.conv1.kernel", lambda v: [v[0][:1], *v[1:]])),
     ("head.weight must be a 2-D array", _set("head.weight", lambda v: v[0])),
     ("missing block head.weight", _drop("head.weight")),
+    ("baseline needs upper >= 1, got 0",
+     lambda doc: {**doc, "system": {"kind": "baseline", "upper": 0}, "gate": None}),
+    ("gate.global.bn1.gamma holds a boolean among numbers", _set("gate.global.bn1.gamma", lambda v: [0.5, True])),
+    ("gate.local.bn1.gamma holds a boolean among numbers", _set("gate.local.bn1.gamma", lambda v: [False, 1.0])),
+    ("head.weight holds a boolean among numbers", _set("head.weight", lambda v: [*v[:-1], [*v[-1][:-1], True]])),
 ]
 
 
@@ -733,6 +738,14 @@ class TestParamsRoundtrip:
         system, head = load_params(path)
         assert isinstance(system, BaselineSystem) and system.upper == 6
         assert head.weight.data.shape == (8, 3)
+
+    def test_boolean_outside_the_stored_values_loads(self, tmp_path):
+        path, again = tmp_path / "params.json", tmp_path / "again.json"
+        save_params(build_fusion_system(LayerPair(1, 2), 8, seed=1), init_head(8, 3, seed=1), path)
+        saved = path.read_text()
+        path.write_text(json.dumps({**json.loads(saved), "note": [True, "false"]}))
+        save_params(*load_params(path), again)
+        assert again.read_text() == saved
 
     def test_missing_norm_block_named(self, tmp_path):
         system = build_fusion_system(LayerPair(1, 2), 8, seed=1)

@@ -365,6 +365,20 @@ def test_train_divergence_exits_one_without_params(workspace, tmp_path, capsys):
     assert not params.exists()
 
 
+@pytest.mark.parametrize("which, code", [(["--lower", "3"], 1), (["--lower", "3", "--variant", "local"], 0),
+                                         (["--baseline"], 0)])
+def test_train_at_batch_size_one_refuses_per_batch(workspace, tmp_path, capsys, which, code):
+    params = tmp_path / "p.json"
+    rc = main(["train", "--src", str(workspace / "src.bank"), *which, "--batch-size", "1",
+               "--epochs", "1", "--out", str(params)])
+    assert rc == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("error: training-mode batch_norm needs more than one (batch, token) position, "
+                       "got input shape (1, 1, 2), at epoch 1, batch 1 with batch_size 1\n")
+    assert params.exists() == (code == 0)
+
+
 def test_ablate_full_row_equals_sweep_row(workspace, tmp_path):
     banks = ["--src", str(workspace / "src.bank"), "--tgt", str(workspace / "tgt.bank")]
     rc = main(["ablate", *banks, "--lower", "2", "--seeds", "4", "--epochs", "2",

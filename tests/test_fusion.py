@@ -48,6 +48,12 @@ class TestLayerPair:
             LayerPair(lower, upper)
 
 
+@pytest.mark.parametrize("upper", [0, -1])
+def test_baseline_refuses_a_layer_below_one(upper):
+    with pytest.raises(ValueError, match=f"^baseline needs upper >= 1, got {upper}$"):
+        BaselineSystem(upper=upper)
+
+
 class TestFusionAlgebra:
     @pytest.mark.parametrize("mode", ["sigmoid", "literal"])
     def test_identity_bit_exact(self, mode):
