@@ -37,9 +37,10 @@ def fuse_layers(l1, l2, params, mode="sigmoid", variant="full", training=False):
     normalization in training or eval form as ``training`` says.  Returns
     (fused, weight) where ``weight`` is the mixing coefficient actually used:
     the sigmoid map in "sigmoid" mode, or the mean scaled by the sigmoid map
-    in "literal" mode.
+    in "literal" mode.  Only the trailing (batch, tokens, channels) dims must
+    match: leading axes broadcast, as in every op.
     """
-    if l1.data.shape != l2.data.shape:
+    if l1.data.shape[-3:] != l2.data.shape[-3:]:
         raise DimensionError(
             f"fuse_layers: layer shapes differ, {l1.data.shape} vs {l2.data.shape}"
         )

@@ -7,7 +7,7 @@ import numpy as np
 from .fusion import fuse_layers, init_head
 from .gate import init_gate_params
 from .seeding import STREAM_CHECK, rng_stream
-from .tensor import Tensor, backward, mean_pool_tokens
+from .tensor import Tensor, _topological_order, backward, mean_pool_tokens
 from .training import softmax_cross_entropy
 
 
@@ -64,71 +64,99 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _scalar(loss_fn, name, index):
-    value = float(np.asarray(loss_fn().data).reshape(-1)[0])
-    if not np.isfinite(value):
+# Values per chunk of probes: each stacked intermediate of a chunk's forward
+# holds at most this many (512 KB), unless one probe's largest node holds more.
+PROBE_CHUNK_VALUES = 2**16
+
+
+def _losses(loss_fn, name, p, entries, step, size):
+    """The objective with each of ``entries`` moved by ``step``: one ``loss_fn`` call per ``size`` entries.
+
+    For each call ``p.data`` is the chunk's stack of perturbed copies, padded
+    to rank 3 behind the probe axis; the same array object comes back after.
+    """
+    kept = p.data
+    flat = kept.reshape(-1)
+    losses = []
+    try:
+        for chunk in np.split(entries, range(size, entries.size, size)):
+            stacked = np.repeat(flat[np.newaxis], chunk.size, axis=0)
+            stacked[np.arange(chunk.size), chunk] = flat[chunk] + step
+            p.data = stacked.reshape((chunk.size,) + (1,) * (3 - kept.ndim) + kept.shape)
+            losses.append(np.asarray(loss_fn().data))
+            if losses[-1].shape != (chunk.size,):
+                raise ValueError(
+                    f"probing parameter {name!r}: loss_fn returned shape {losses[-1].shape} "
+                    f"for {chunk.size} probes, not one loss per leading index"
+                )
+    finally:
+        p.data = kept
+    return np.concatenate(losses)
+
+
+def _errors(loss_fn, name, p, entries, reverse, step, size):
+    """(relative?, error) of each entry's reverse-mode gradient against a central difference."""
+    upper = _losses(loss_fn, name, p, entries, step, size)
+    lower = _losses(loss_fn, name, p, entries, -step, size)
+    finite = np.isfinite(upper) & np.isfinite(lower)
+    if not finite.all():
         raise EvaluationError(
-            f"non-finite objective while probing parameter {name!r} entry {index}"
+            f"non-finite objective while probing parameter {name!r} entry "
+            f"{entries[np.argmin(finite)]}"
         )
-    return value
-
-
-def _probe(loss_fn, name, flat, i, reverse, step):
-    """(kind, error) of entry ``i``'s reverse-mode gradient against a central difference."""
-    kept = flat[i]
-    flat[i] = kept + step
-    upper = _scalar(loss_fn, name, i)
-    flat[i] = kept - step
-    lower = _scalar(loss_fn, name, i)
-    flat[i] = kept
     oracle = (upper - lower) / (2.0 * step)
-    magnitude = max(abs(reverse), abs(oracle))
-    error = abs(reverse - oracle)
-    if magnitude >= ABSOLUTE_REGIME:
-        return "relative", error / magnitude
-    return "absolute", error
+    magnitude = np.maximum(np.abs(reverse), np.abs(oracle))
+    error = np.abs(reverse - oracle)
+    relative = magnitude >= ABSOLUTE_REGIME
+    return relative, np.divide(error, magnitude, out=error, where=relative)
 
 
 def finite_difference_check(loss_fn, params, step=1e-5, rtol=1e-4):
     """Compare reverse-mode gradients against central differences.
 
-    ``loss_fn`` must rebuild the scalar objective from the current parameter
-    values on every call.  Entries whose gradients fall below the absolute
-    regime are judged by absolute rather than relative error.  Probes near a
-    relu kink (within the step of an activation sign change), or where a
-    training-mode variance is near ``eps``, can inflate the reported error.
-    So a failed parameter's worst entry is probed again at step/10, which
-    changes no verdict: a drop of about 100x or more marks a step too large
-    for the curvature there, not a wrong gradient, whose error stays put.
+    ``loss_fn`` must rebuild the objective from the current parameter values
+    on every call and return one loss per leading index of the probed
+    parameter.  The first call sees every parameter as given and returns the
+    scalar that ``backward`` differentiates.  Each later call sees one
+    parameter's ``.data`` replaced by P perturbed copies stacked on a leading
+    axis and padded to rank 3: a kernel reads (P, 1, C, I), a vector
+    (P, 1, 1, C), a feature map (P, B, T, C).  The ops broadcast such an
+    operand, so the objective built from them has shape (P,); any other
+    shape raises ``ValueError``.  P is at most PROBE_CHUNK_VALUES over the
+    size of the first graph's largest node.
+
+    Entries whose gradients fall below the absolute regime are judged by
+    absolute rather than relative error.  Probes near a relu kink (within the
+    step of an activation sign change), or where a training-mode variance is
+    near ``eps``, can inflate the reported error.  So a failed parameter's
+    worst entry is probed again at step/10, which changes no verdict: a drop
+    of about 100x or more marks a step too large for the curvature there, not
+    a wrong gradient, whose error stays put.
     """
     if step <= 0 or rtol <= 0:
         raise ValueError("step and rtol must be positive")
-    backward(loss_fn(), wrt=params.values())
+    loss = loss_fn()
+    size = max(1, PROBE_CHUNK_VALUES // max(node.data.size for node in _topological_order(loss)))
+    backward(loss, wrt=params.values())
     recorded = {
         name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
         for name, p in params.items()
     }
     checks = []
     for name, p in params.items():
-        flat = p.data.reshape(-1)
         reverse = recorded[name].reshape(-1)
-        worst = -1.0
-        worst_index = 0
-        worst_kind = "relative"
-        for i in range(flat.size):
-            kind, metric = _probe(loss_fn, name, flat, i, reverse[i], step)
-            if metric > worst:
-                worst, worst_index, worst_kind = metric, i, kind
-        passed = worst <= rtol
+        relative, errors = _errors(loss_fn, name, p, np.arange(reverse.size), reverse, step, size)
+        worst = int(np.argmax(errors))
+        passed = bool(errors[worst] <= rtol)
         checks.append(
             ParameterCheck(
                 name=name,
-                max_error=max(worst, 0.0),
-                error_kind=worst_kind,
-                worst_index=worst_index,
+                max_error=errors[worst],
+                error_kind="relative" if relative[worst] else "absolute",
+                worst_index=worst,
                 passed=passed,
-                reprobe_error=None if passed else _probe(
-                    loss_fn, name, flat, worst_index, reverse[worst_index], step / 10)[1],
+                reprobe_error=None if passed else _errors(
+                    loss_fn, name, p, np.array([worst]), reverse[worst:worst + 1], step / 10, 1)[1][0],
             )
         )
     return GradCheckReport(step=step, rtol=rtol, parameters=checks)

@@ -6,6 +6,12 @@ leaves exact gradients on each node it visited, including the paths through
 the batch statistics of training-mode normalization.  Given ``wrt``, it
 computes only the gradients that lead to those tensors and keeps only theirs.
 
+An op's forward also accepts leading axes in front of those three, on any
+operand (a kernel as (P, 1, C, I), a vector as (P, 1, 1, C)); it checks only
+the trailing dims and broadcasts the rest, so one forward evaluates P
+variants of a graph, each slice bit for bit as its own rank-3 forward.
+``backward`` and the closures take rank-3 graphs only.
+
 An op's backward closure only computes: it returns its parents' gradients,
 and ``backward`` alone stores them, copies a passed-through one and adds up
 the contributions a tensor receives along several paths.
@@ -165,7 +171,7 @@ def backward(loss, seed=1.0, wrt=None):
 
 def _require_rank3(op, *tensors):
     for t in tensors:
-        if t.data.ndim != 3:
+        if t.data.ndim < 3:
             raise DimensionError(
                 f"{op} expects (batch, tokens, channels) tensors, got shape "
                 f"{t.data.shape}"
@@ -180,7 +186,7 @@ def _sum_tokens_to(grad, t):
 def broadcast_add(a, b):
     """Elementwise sum; a token axis of length 1 replicates across tokens."""
     _require_rank3("broadcast_add", a, b)
-    (ba, ta, ea), (bb, tb, eb) = a.data.shape, b.data.shape
+    (ba, ta, ea), (bb, tb, eb) = a.data.shape[-3:], b.data.shape[-3:]
     if ba != bb or ea != eb or (ta != tb and 1 not in (ta, tb)):
         raise DimensionError(
             f"broadcast_add: incompatible shapes {a.data.shape} and {b.data.shape}"
@@ -196,13 +202,12 @@ def broadcast_add(a, b):
 def elementwise_mul(a, b):
     """Hadamard product; ``b`` may carry a single token broadcast over T."""
     _require_rank3("elementwise_mul", a, b)
-    if a.data.shape != b.data.shape:
-        (ba, _, ea), (bb, tb, eb) = a.data.shape, b.data.shape
-        if not (ba == bb and ea == eb and tb == 1):
-            raise DimensionError(
-                f"elementwise_mul: incompatible shapes {a.data.shape} and "
-                f"{b.data.shape}"
-            )
+    (ba, ta, ea), (bb, tb, eb) = a.data.shape[-3:], b.data.shape[-3:]
+    if not (ba == bb and ea == eb and tb in (ta, 1)):
+        raise DimensionError(
+            f"elementwise_mul: incompatible shapes {a.data.shape} and "
+            f"{b.data.shape}"
+        )
 
     def _bw(g, wanted):
         return (g * b.data if id(a) in wanted else None,
@@ -214,7 +219,7 @@ def elementwise_mul(a, b):
 def sub(a, b):
     """Elementwise difference of two same-shape feature tensors."""
     _require_rank3("sub", a, b)
-    if a.data.shape != b.data.shape:
+    if a.data.shape[-3:] != b.data.shape[-3:]:
         raise DimensionError(
             f"sub: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
@@ -247,30 +252,30 @@ def shift(t, offset):
 def mean_pool_tokens(w):
     """Average over the token axis, keeping shape (batch, 1, channels)."""
     _require_rank3("mean_pool_tokens", w)
-    tokens = w.data.shape[1]
+    tokens = w.data.shape[-2]
 
     def _bw(g, wanted):
         return (np.repeat(g / tokens, tokens, axis=1),)
 
     # The sum and divide that ``ndarray.mean`` runs, without its Python layer:
     # the same bits.
-    return _node(np.add.reduce(w.data, axis=1, keepdims=True) / tokens, (w,), _bw)
+    return _node(np.add.reduce(w.data, axis=-2, keepdims=True) / tokens, (w,), _bw)
 
 
 def conv1x1(w, kernel, bias):
     """Per-token affine map, i.e. a width-1 convolution over tokens."""
     _require_rank3("conv1x1", w)
-    if kernel.data.ndim != 2:
-        raise DimensionError(f"conv1x1 kernel must be 2-D, got {kernel.data.shape}")
-    if bias.data.ndim != 1 or bias.data.shape[0] != kernel.data.shape[1]:
+    if kernel.data.ndim < 2:
+        raise DimensionError(f"conv1x1 kernel must be at least 2-D, got {kernel.data.shape}")
+    if bias.data.ndim < 1 or bias.data.shape[-1] != kernel.data.shape[-1]:
         raise DimensionError(
             f"conv1x1 bias shape {bias.data.shape} does not match kernel "
             f"{kernel.data.shape}"
         )
-    if kernel.data.shape[0] != w.data.shape[2]:
+    if kernel.data.shape[-2] != w.data.shape[-1]:
         raise DimensionError(
-            f"conv1x1: input has {w.data.shape[2]} channels but kernel expects "
-            f"{kernel.data.shape[0]}"
+            f"conv1x1: input has {w.data.shape[-1]} channels but kernel expects "
+            f"{kernel.data.shape[-2]}"
         )
 
     def _bw(g, wanted):
@@ -340,43 +345,45 @@ class BatchNormState:
 
     @property
     def channels(self):
-        return self.gamma.data.shape[0]
+        return self.gamma.data.shape[-1]
 
 
 def batch_norm(w, state, training=False):
     """Normalize each channel over all (batch, token) positions.
 
     With ``training`` the call uses the population statistics of the current
-    batch and folds them into the running estimates; otherwise it applies
-    the stored running statistics unchanged.  Gradients in training calls
-    flow through the batch statistics, not around them.
+    batch and, for a rank-3 input, folds them into the running estimates;
+    leading axes get statistics each of their own, and no fold.  Otherwise
+    it applies the stored running statistics unchanged.  Gradients in
+    training calls flow through the batch statistics, not around them.
     """
     _require_rank3("batch_norm", w)
-    if state.channels != w.data.shape[2]:
+    if state.channels != w.data.shape[-1]:
         raise DimensionError(
-            f"batch_norm: input has {w.data.shape[2]} channels but state has "
+            f"batch_norm: input has {w.data.shape[-1]} channels but state has "
             f"{state.channels}"
         )
     x = w.data
     gamma, beta = state.gamma, state.beta
     if training:
-        if x.shape[0] * x.shape[1] == 1:
+        count = x.shape[-3] * x.shape[-2]
+        if count == 1:
             raise DegenerateBatchError(
                 "training-mode batch_norm needs more than one (batch, token) "
                 f"position, got input shape {x.shape}"
             )
         # The sum, divide, subtract, square and sum that ``ndarray.mean`` and
         # ``ndarray.var`` run, without their Python layer: the same bits.
-        count = x.shape[0] * x.shape[1]
-        mean = np.add.reduce(x, axis=(0, 1)) / count
+        mean = np.add.reduce(x, axis=(-3, -2), keepdims=True) / count
         centered = x - mean
-        var = np.add.reduce(centered * centered, axis=(0, 1)) / count
+        var = np.add.reduce(centered * centered, axis=(-3, -2), keepdims=True) / count
         inv_std = 1.0 / np.sqrt(var + state.eps)
         x_hat = centered * inv_std
-        m = state.momentum
-        for running, batch in ((state.running_mean, mean), (state.running_var, var)):
-            running *= 1.0 - m
-            running += m * batch
+        if x.ndim == 3:
+            m = state.momentum
+            for running, batch in ((state.running_mean, mean), (state.running_var, var)):
+                running *= 1.0 - m
+                running += m * batch[0, 0]
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
         x_hat = (x - state.running_mean) * inv_std

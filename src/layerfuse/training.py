@@ -57,23 +57,27 @@ def full_scale_config(**overrides):
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean cross-entropy of softmax(logits) against integer labels."""
+    """Mean cross-entropy of softmax(logits) against integer labels.
+
+    Logits of shape (..., B, 1, K) give one loss per leading index, each bit
+    for bit the loss of its own (B, 1, K) slice.
+    """
     data = logits.data
-    if data.ndim == 3 and data.shape[1] == 1:
-        flat = data[:, 0, :]
+    if data.ndim >= 3 and data.shape[-2] == 1:
+        flat = data[..., 0, :]
     elif data.ndim == 2:
         flat = data
     else:
         raise DimensionError(f"logits must be (B, K) or (B, 1, K), got {data.shape}")
     labels = np.asarray(labels)
-    count, classes = flat.shape
+    count, classes = flat.shape[-2:]
     if labels.shape != (count,):
         raise DataError(f"{count} logit rows but {labels.shape} labels")
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise DataError(f"labels must lie in [0, {classes}), got range "
                         f"[{labels.min()}, {labels.max()}]")
-    shifted = flat - flat.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = flat - flat.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     rows = np.arange(count)
     probs = np.exp(log_probs)
 
@@ -83,7 +87,10 @@ def softmax_cross_entropy(logits, labels):
         grad *= float(g) / count
         return (grad.reshape(data.shape),)
 
-    return _node(np.asarray(-log_probs[rows, labels].mean()), (logits,), _bw)
+    # Under leading axes the gather comes back strided, and a strided mean
+    # sums in sequence rather than pairwise: gather into C order first.
+    picked = np.ascontiguousarray(log_probs[..., rows, labels])
+    return _node(np.asarray(-picked.mean(axis=-1)), (logits,), _bw)
 
 
 class AdamW:

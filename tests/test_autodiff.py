@@ -113,8 +113,8 @@ def test_oracle_rejects_non_finite():
     origin = float(x.data[0, 0, 0])
 
     def loss_fn():
-        if x.data[0, 0, 0] != origin:
-            return Tensor(np.asarray(np.inf))
+        if x.data.reshape(-1)[0] != origin:
+            return Tensor(np.full(x.data.shape[:-3], np.inf))
         return tensor_sum(x)
 
     with pytest.raises(EvaluationError, match="x"):
@@ -222,7 +222,7 @@ def _channels(shape):
 
 def _batch_norm_op(training):
     def forward(x, gamma, beta):
-        state = BatchNormState(x.data.shape[2])
+        state = BatchNormState(x.data.shape[-1])
         state.gamma, state.beta = gamma, beta
         state.running_mean[...] = np.linspace(-0.5, 0.5, state.channels)
         state.running_var[...] = np.linspace(0.5, 2.0, state.channels)
@@ -276,6 +276,108 @@ def test_softmax_cross_entropy_matches_finite_differences(batch, classes, spread
     logits = parameter(rng.normal(size=(batch, 1, classes)) * spread)
     labels = rng.integers(0, classes, size=batch)
     _op_check(lambda: softmax_cross_entropy(logits, labels), {"logits": logits})
+
+
+def _probe_stack(rng, shape, probes):
+    """``probes`` draws of ``shape`` behind a leading probe axis, padded to rank 3 as the check pads."""
+    return rng.normal(size=(probes,) + shape).reshape((probes,) + (1,) * (3 - len(shape)) + shape)
+
+
+@pytest.mark.parametrize("op", sorted(_OP_CASES))
+@settings(max_examples=15, deadline=None)
+@given(batch=st.integers(1, 32), tokens=st.integers(1, 3), channels=st.integers(1, 4),
+       probes=st.integers(1, 4), stacked=st.integers(0, 2), seed=st.integers(0, 2**16))
+@example(batch=32, tokens=3, channels=4, probes=3, stacked=0, seed=0)
+def test_stacked_forward_equals_separate_forwards(op, batch, tokens, channels, probes, stacked, seed):
+    # One operand carries the probe axis, as in finite_difference_check.
+    shapes, forward = _OP_CASES[op]
+    assume(op != "batch_norm_training" or batch * tokens > 1)
+    stacked %= len(shapes)
+    rng = np.random.default_rng(seed)
+    shape = (batch, tokens, channels)
+    inputs = [Tensor(rng.normal(size=size(shape))) for size in shapes]
+    stack = _probe_stack(rng, inputs[stacked].data.shape, probes)
+    out = forward(*inputs[:stacked], Tensor(stack), *inputs[stacked + 1:]).data
+    assert out.shape[0] == probes
+    for i in range(probes):
+        alone = Tensor(stack[i].reshape(inputs[stacked].data.shape))
+        npt.assert_array_equal(out[i], forward(*inputs[:stacked], alone, *inputs[stacked + 1:]).data)
+
+
+@settings(max_examples=20, deadline=None)
+@given(batch=st.integers(1, 32), classes=st.integers(2, 4), probes=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+@example(batch=32, classes=3, probes=3, seed=0)  # a strided mean over 32 rows lands an ulp off
+def test_stacked_cross_entropy_equals_separate_losses(batch, classes, probes, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(probes, batch, 1, classes))
+    labels = rng.integers(0, classes, size=batch)
+    losses = softmax_cross_entropy(Tensor(stack), labels).data
+    assert losses.shape == (probes,)
+    for i in range(probes):
+        npt.assert_array_equal(losses[i], softmax_cross_entropy(Tensor(stack[i]), labels).data)
+
+
+def test_training_batch_norm_under_a_probe_axis_keeps_running_statistics():
+    state = BatchNormState(4)
+    state.running_mean[...] = RNG.normal(size=4)
+    state.running_var[...] = RNG.uniform(0.5, 2.0, size=4)
+    mean, var = state.running_mean.tobytes(), state.running_var.tobytes()
+    batch_norm(Tensor(RNG.normal(size=(3, 2, 5, 4))), state, training=True)
+    assert state.running_mean.tobytes() == mean and state.running_var.tobytes() == var
+
+
+def test_oracle_refuses_a_loss_without_the_probe_axis():
+    x = parameter(RNG.normal(size=(2, 3, 4)))
+
+    def loss_fn():
+        def _bw(g, wanted):
+            return (np.full(x.data.shape, float(g)),)
+
+        return tensor_module._node(np.asarray(x.data.sum()), (x,), _bw)  # all probes summed
+
+    with pytest.raises(ValueError, match=r"'x'.* shape \(\) for 24 probes"):
+        finite_difference_check(loss_fn, {"x": x})
+
+
+# Which probes read a non-finite loss -> the entry the error names: the
+# lowest such entry, whichever sign found it.
+_NON_FINITE_PROBES = {
+    "upper of entry 1": (lambda v: v[..., 1] > 2.0, 1),
+    "lower of entry 2, upper of entry 1": (lambda v: (v[..., 2] < 3.0) | (v[..., 1] > 2.0), 1),
+    "lower of entry 2": (lambda v: v[..., 2] < 3.0, 2),
+    "lower of entry 0, upper of entry 2": (lambda v: (v[..., 0] < 1.0) | (v[..., 2] > 3.0), 0),
+}
+
+
+@pytest.mark.parametrize("case", _NON_FINITE_PROBES)
+def test_oracle_names_the_lowest_non_finite_entry_and_restores_the_parameter(case):
+    bad, entry = _NON_FINITE_PROBES[case]
+    x = parameter([[[1.0, 2.0, 3.0]]])
+    kept = x.data
+
+    def loss_fn():
+        loss = tensor_sum(x)
+        loss.data = np.where(bad(x.data[..., 0, 0, :]), np.nan, loss.data)
+        return loss
+
+    with pytest.raises(EvaluationError, match=f"'x' entry {entry}$"):
+        finite_difference_check(loss_fn, {"x": x})
+    assert x.data is kept
+    npt.assert_array_equal(x.data, [[[1.0, 2.0, 3.0]]])
+
+
+def test_a_nan_gradient_fails_its_parameter():
+    p = parameter([[[0.5, -1.5, 2.0]]])
+
+    def loss_fn():
+        def _bw(g, wanted):
+            return (g * np.array([1.0, np.nan, 1.0]),)
+
+        return tensor_module._node(p.data.reshape(p.data.shape[:-3] + (-1,)).sum(axis=-1), (p,), _bw)
+
+    (check,) = finite_difference_check(loss_fn, {"p": p}).parameters
+    assert not check.passed and check.worst_index == 1 and np.isnan(check.max_error)
 
 
 def _gate_margins(loss_fn):
@@ -461,7 +563,8 @@ def test_reprobe_keeps_the_error_of_a_wrong_gradient():
         def _bw(g, wanted):
             return (3.0 * g * p.data,)  # the gradient of sum(p**2) is 2p
 
-        return tensor_module._node(np.asarray(np.sum(p.data ** 2)), (p,), _bw)
+        squares = p.data.reshape(p.data.shape[:-3] + (-1,)) ** 2
+        return tensor_module._node(squares.sum(axis=-1), (p,), _bw)
 
     report = finite_difference_check(loss_fn, {"p": p})
     (check,) = report.parameters
