@@ -6,8 +6,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .bank import DataError
-from .fusion import eval_chunks
-from .tensor import Tensor, mean_pool_tokens
+from .fusion import sentence_embeddings
 from .training import SweepReport, SweepRow
 
 
@@ -42,12 +41,6 @@ def cosine_similarity(u, v):
     if np.array_equal(u, v):
         return 1.0
     return float(np.clip(np.dot(u, v) / (norm_u * norm_v), -1.0, 1.0))
-
-
-def sentence_embeddings(system, bank, rows):
-    """Mean-pooled system output per sentence, in eval mode, fused one chunk of rows at a time."""
-    return np.concatenate([mean_pool_tokens(Tensor(fused)).data[:, 0, :]
-                           for fused in eval_chunks(system, bank, rows)])
 
 
 def avg_cross_lingual_similarity(system, source, targets, pairs=20, split="test"):

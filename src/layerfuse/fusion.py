@@ -13,7 +13,8 @@ from .gate import (
     init_gate_params,
 )
 from .seeding import STREAM_HEAD, rng_stream
-from .tensor import DimensionError, Tensor, broadcast_add, conv1x1, elementwise_mul, parameter, scale, shift, sub
+from .tensor import (DimensionError, Tensor, broadcast_add, conv1x1, elementwise_mul, mean_pool_tokens,
+                     parameter, scale, shift, sub)
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,12 @@ def eval_chunks(system, bank, rows):
     size = max(1, EVAL_CHUNK_VALUES // (tokens * channels))
     for start in range(0, rows.size, size):
         yield system.fused_batch(bank, rows[start:start + size], training=False).data
+
+
+def sentence_embeddings(system, bank, rows):
+    """Mean-pooled system output per sentence, (rows, channels), in eval mode one chunk of rows at a time."""
+    return np.concatenate([mean_pool_tokens(Tensor(fused)).data[:, 0, :]
+                           for fused in eval_chunks(system, bank, rows)])
 
 
 def stored_values(system, head):

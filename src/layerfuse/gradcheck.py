@@ -7,12 +7,12 @@ import numpy as np
 from .fusion import fuse_layers, init_head
 from .gate import init_gate_params
 from .seeding import STREAM_CHECK, rng_stream
-from .tensor import Tensor, _topological_order, backward, mean_pool_tokens
-from .training import softmax_cross_entropy
+from .tensor import Tensor, _topological_order, backward
+from .training import sentence_loss
 
 
 class EvaluationError(RuntimeError):
-    """The checked function returned a non-finite value at a probe point."""
+    """The checked function returned a non-finite value, unperturbed or at a probe point."""
 
 
 # Central differences of an O(1) objective at step 1e-5 carry a roundoff
@@ -117,7 +117,8 @@ def finite_difference_check(loss_fn, params, step=1e-5, rtol=1e-4):
     ``loss_fn`` must rebuild the objective from the current parameter values
     on every call and return one loss per leading index of the probed
     parameter.  The first call sees every parameter as given and returns the
-    scalar that ``backward`` differentiates.  Each later call sees one
+    scalar that ``backward`` differentiates; if it is not finite,
+    ``EvaluationError`` is raised before any probe.  Each later call sees one
     parameter's ``.data`` replaced by P perturbed copies stacked on a leading
     axis and padded to rank 3: a kernel reads (P, 1, C, I), a vector
     (P, 1, 1, C), a feature map (P, B, T, C).  The ops broadcast such an
@@ -136,6 +137,8 @@ def finite_difference_check(loss_fn, params, step=1e-5, rtol=1e-4):
     if step <= 0 or rtol <= 0:
         raise ValueError("step and rtol must be positive")
     loss = loss_fn()
+    if not np.isfinite(loss.data).all():
+        raise EvaluationError("non-finite objective at the unperturbed parameters, before any probe")
     size = max(1, PROBE_CHUNK_VALUES // max(node.data.size for node in _topological_order(loss)))
     backward(loss, wrt=params.values())
     recorded = {
@@ -172,10 +175,11 @@ def classification_pipeline(
 ):
     """Build (loss_fn, params) for the fused-features classification objective.
 
-    The objective is the full chain: fuse two random layers, mean-pool, apply
-    the linear head, and take softmax cross-entropy against random labels.
-    Normalization runs in training form, so gradients cross batch statistics.
-    With ``check_inputs`` the two layer tensors join the checked parameters.
+    The objective is ``sentence_loss``, the one ``train`` minimizes, on two
+    random layers fused: mean-pool, linear head and softmax cross-entropy
+    against random labels.  Normalization runs in training form, so
+    gradients cross batch statistics.  With ``check_inputs`` the two layer
+    tensors join the checked parameters.
     """
     rng = rng_stream(seed, STREAM_CHECK)
     batch, tokens, channels = shape
@@ -186,9 +190,7 @@ def classification_pipeline(
     head = init_head(channels, classes, seed=seed)
 
     def loss_fn():
-        fused, _ = fuse_layers(l1, l2, gate, mode, variant, training=True)
-        features = mean_pool_tokens(fused)
-        return softmax_cross_entropy(head.logits(features), labels)
+        return sentence_loss(fuse_layers(l1, l2, gate, mode, variant, training=True)[0], head, labels)
 
     params = {**gate.parameters(), **head.parameters()}
     if check_inputs:

@@ -135,10 +135,10 @@ def backward(loss, seed=1.0, wrt=None):
     several times inside the graph accumulates the sum of all path
     contributions.
 
-    Given ``wrt``, the tensors whose gradients the caller reads, only the
-    nodes on a path from one of them to ``loss`` get a gradient, and only the
-    tensors of ``wrt`` keep it (None where ``loss`` does not reach them).
-    Theirs equal the full pass's bit for bit: same expressions, same order.
+    ``wrt`` holds the tensors whose gradients the caller reads, by default
+    every node ``loss`` reaches.  Only the nodes on a path from one of them
+    to ``loss`` get a gradient, and only the tensors of ``wrt`` keep it (None
+    where ``loss`` does not reach them), bit for bit the default's.
     """
     if loss.data.size != 1:
         raise ValueError(
@@ -147,25 +147,21 @@ def backward(loss, seed=1.0, wrt=None):
     order = _topological_order(loss)
     for node in order:
         node.grad = None
-    if wrt is None:
-        keep = None
-        wanted = {id(node) for node in order}
-    else:
-        keep = set()
-        for node in wrt:
-            node.grad = None
-            keep.add(id(node))
-        # ``order`` lists parents before children, so one sweep marks every
-        # node that a tensor of ``wrt`` reaches.
-        wanted = set(keep)
-        for node in order:
-            if any(id(parent) in wanted for parent in node._parents):
-                wanted.add(id(node))
+    keep = set()
+    for node in order if wrt is None else wrt:
+        node.grad = None
+        keep.add(id(node))
+    # ``order`` lists parents before children, so one sweep marks every
+    # node that a tensor of ``wrt`` reaches.
+    wanted = set(keep)
+    for node in order:
+        if any(id(parent) in wanted for parent in node._parents):
+            wanted.add(id(node))
     loss.grad = np.full_like(loss.data, float(seed))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             _send(node, wanted)
-            if keep is not None and id(node) not in keep:
+            if id(node) not in keep:
                 node.grad = None
 
 

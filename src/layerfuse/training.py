@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bank import DataError, check_document
-from .fusion import FusionSystem, build_system, eval_chunks, init_head, stored_values
+from .fusion import build_system, init_head, sentence_embeddings, stored_values
 from .seeding import STREAM_BATCHES, rng_stream
 from .tensor import DegenerateBatchError, DimensionError, Tensor, _node, backward, mean_pool_tokens
 
@@ -63,12 +63,9 @@ def softmax_cross_entropy(logits, labels):
     for bit the loss of its own (B, 1, K) slice.
     """
     data = logits.data
-    if data.ndim >= 3 and data.shape[-2] == 1:
-        flat = data[..., 0, :]
-    elif data.ndim == 2:
-        flat = data
-    else:
-        raise DimensionError(f"logits must be (B, K) or (B, 1, K), got {data.shape}")
+    if data.ndim < 3 or data.shape[-2] != 1:
+        raise DimensionError(f"logits must be (B, 1, K), got {data.shape}")
+    flat = data[..., 0, :]
     labels = np.asarray(labels)
     count, classes = flat.shape[-2:]
     if labels.shape != (count,):
@@ -151,10 +148,9 @@ class AdamW:
         p -= t
 
 
-def _batch_loss(system, head, bank, rows, training):
-    fused = system.fused_batch(bank, rows, training=training)
-    features = mean_pool_tokens(fused)
-    return softmax_cross_entropy(head.logits(features), bank.labels[rows])
+def sentence_loss(fused, head, labels):
+    """The training objective: cross-entropy of the head on the token-mean of ``fused``."""
+    return softmax_cross_entropy(head.logits(mean_pool_tokens(fused)), labels)
 
 
 def _raise_non_finite(named, epoch, batch):
@@ -180,9 +176,6 @@ def train(system, head, bank, cfg):
         raise DataError(
             f"bank has {train_rows.size} sentences in the train split; training needs at least 2"
         )
-    if isinstance(system, FusionSystem):
-        bank.layer(system.pair.lower)
-        bank.layer(system.pair.upper)
     params = {**system.parameters(), **head.parameters()}
     optimizer = AdamW(params, cfg)
     named = {name: getattr(owner, attribute) for name, owner, attribute in stored_values(system, head)}
@@ -201,7 +194,7 @@ def train(system, head, bank, cfg):
         for batch, (start, stop) in enumerate(bounds, 1):
             rows = permuted[start:stop]
             try:
-                loss = _batch_loss(system, head, bank, rows, training=True)
+                loss = sentence_loss(system.fused_batch(bank, rows, training=True), head, bank.labels[rows])
             except DegenerateBatchError as err:
                 raise DegenerateBatchError(
                     f"{err}, at epoch {epoch}, batch {batch} with batch_size {cfg.batch_size}"
@@ -248,15 +241,13 @@ def classification_metrics(predictions, labels):
 def evaluate(system, head, bank, split="test"):
     """Accuracy and micro-F1 on one split, with normalization in eval mode.
 
-    The split is fused and pooled one chunk of rows at a time (``eval_chunks``);
-    the head then runs once over all the pooled features.
+    The split is fused and pooled one chunk of rows at a time
+    (``sentence_embeddings``); the head then runs once over all the pooled features.
     """
     rows = bank.split_indices(split)
     if rows.size == 0:
         raise DataError(f"bank has no sentences in the {split!r} split")
-    features = np.concatenate(
-        [mean_pool_tokens(Tensor(fused)).data for fused in eval_chunks(system, bank, rows)]
-    )
+    features = sentence_embeddings(system, bank, rows)[:, np.newaxis, :]
     logits = head.logits(Tensor(features)).data.reshape(rows.size, -1)
     predictions = logits.argmax(axis=1)
     return classification_metrics(predictions, bank.labels[rows])

@@ -121,6 +121,20 @@ def test_oracle_rejects_non_finite():
         finite_difference_check(loss_fn, {"x": x})
 
 
+def test_oracle_refuses_a_non_finite_objective_before_any_probe():
+    x = parameter([[[1.0, np.nan, 3.0]]])
+    calls = []
+
+    def loss_fn():
+        calls.append(x.data.shape)
+        return tensor_sum(x)
+
+    with pytest.raises(EvaluationError, match="^non-finite objective at the unperturbed parameters, "
+                                              "before any probe$"):
+        finite_difference_check(loss_fn, {"x": x})
+    assert calls == [(1, 1, 3)]
+
+
 def test_oracle_validates_step_and_rtol():
     x = parameter(np.ones((1, 1, 1)))
     with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from layerfuse import BaselineSystem, LayerBank, SweepRow, init_head, read_bank,
 from layerfuse.fusion import LayerPair, build_fusion_system
 from layerfuse import cli
 from layerfuse.cli import main
-from layerfuse.synthetic import SyntheticTaskSpec
+from layerfuse.synthetic import SyntheticTaskSpec, generate_task
 
 SMALL_SPEC = SyntheticTaskSpec(
     train_sentences=48, test_sentences=24, channels=8, latent_dim=4,
@@ -377,6 +377,18 @@ def test_train_at_batch_size_one_refuses_per_batch(workspace, tmp_path, capsys, 
         assert err == ("error: training-mode batch_norm needs more than one (batch, token) position, "
                        "got input shape (1, 1, 2), at epoch 1, batch 1 with batch_size 1\n")
     assert params.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("epochs", ["1", "0"])
+def test_train_past_the_top_layer_exits_one_without_params(tmp_path, capsys, epochs):
+    spec = SyntheticTaskSpec(train_sentences=8, test_sentences=4, channels=4, latent_dim=2, tokens=2, seed=3)
+    write_bank(generate_task(spec)[0], tmp_path / "src.bank")
+    params = tmp_path / "p.json"
+    rc = main(["train", "--src", str(tmp_path / "src.bank"), "--lower", "2", "--upper", "9",
+               "--epochs", epochs, "--out", str(params)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: bank has layers 1..6, requested 9\n")
+    assert not params.exists()
 
 
 def test_ablate_full_row_equals_sweep_row(workspace, tmp_path):

@@ -1,5 +1,6 @@
 """Head, loss, optimizer, and the training loop."""
 
+import re
 import weakref
 
 import numpy as np
@@ -12,6 +13,8 @@ from layerfuse import (
     AdamW,
     BaselineSystem,
     DataError,
+    DimensionError,
+    FusionSystem,
     LayerBank,
     LayerPair,
     SyntheticTaskSpec,
@@ -29,6 +32,7 @@ from layerfuse import (
     train,
 )
 from layerfuse import training
+from layerfuse.gradcheck import classification_pipeline
 from layerfuse.tensor import backward
 
 RNG = np.random.default_rng(55)
@@ -67,6 +71,30 @@ class TestCrossEntropy:
         logits = Tensor(np.array([[[1000.0, -1000.0]], [[-1000.0, 1000.0]]]))
         loss = softmax_cross_entropy(logits, np.array([0, 1]))
         assert np.isfinite(float(loss.data))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 2), (3, 2, 2)])
+    def test_logits_without_a_single_token_refused(self, shape):
+        with pytest.raises(DimensionError, match=re.escape(f"got {shape}")):
+            softmax_cross_entropy(Tensor(np.zeros(shape)), np.array([0, 1, 0][:shape[0]]))
+
+    def test_gradcheck_checks_the_objective_train_minimizes(self, small_banks, monkeypatch):
+        # Both paths reach the one cross-entropy through ``sentence_loss``.
+        source, _ = small_banks
+        calls = []
+        loss = training.softmax_cross_entropy
+
+        def counted(logits, labels):
+            calls.append(logits.data.shape)
+            return loss(logits, labels)
+
+        monkeypatch.setattr(training, "softmax_cross_entropy", counted)
+        loss_fn, _ = classification_pipeline(0, shape=(4, 2, 8), classes=3)
+        loss_fn()
+        assert calls == [(4, 1, 3)]
+        rows = source.split_indices("train").size
+        cfg = TrainConfig(epochs=1, batch_size=rows)
+        train(build_fusion_system(LayerPair(1, 3), 8, seed=0), init_head(8, source.num_classes, 0), source, cfg)
+        assert calls == [(4, 1, 3), (rows, 1, source.num_classes)]
 
 
 class TestAdamW:
@@ -185,7 +213,7 @@ class TestTrainLoop:
         # array: once the array is gone, so is the node and the graph under it.
         source, _ = small_banks
         losses, alive = [], []
-        batch_loss = training._batch_loss
+        batch_loss = training.sentence_loss
 
         def tracked(*args, **kwargs):
             alive.append(bool(losses) and losses[-1]() is not None)
@@ -193,10 +221,28 @@ class TestTrainLoop:
             losses.append(weakref.ref(loss.data))
             return loss
 
-        monkeypatch.setattr(training, "_batch_loss", tracked)
+        monkeypatch.setattr(training, "sentence_loss", tracked)
         system = build_fusion_system(LayerPair(1, 3), 8, seed=0)
         train(system, init_head(8, source.num_classes, 0), source, TrainConfig(epochs=2))
         assert alive == [False] * 4  # 2 epochs of 2 batches
+
+    def test_frees_each_fused_batch_before_the_next_forward(self, small_banks, monkeypatch):
+        # The step's loss is gone by the next loss call; its fused batch must
+        # be gone by the next forward, or two forward graphs are alive at once.
+        source, _ = small_banks
+        fused, alive = [], []
+        forward = FusionSystem.fused_batch
+
+        def tracked(self, *args, **kwargs):
+            alive.append(bool(fused) and fused[-1]() is not None)
+            out = forward(self, *args, **kwargs)
+            fused.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(FusionSystem, "fused_batch", tracked)
+        system = build_fusion_system(LayerPair(1, 3), 8, seed=0)
+        train(system, init_head(8, source.num_classes, 0), source, TrainConfig(epochs=2))
+        assert alive == [False] * 4
 
     def test_pruned_backward_trains_like_the_full_pass(self, small_banks, monkeypatch, tmp_path):
         source, _ = small_banks
