@@ -12,7 +12,7 @@ import json
 import mmap
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,12 +43,21 @@ class ParamsFormatError(ValueError):
     """A parameter file does not follow the documented schema."""
 
 
-# Manifest list field -> (name of one entry, entry check, what an entry must be).
-_MANIFEST_LISTS = {
-    "labels": ("label", lambda x: type(x) is int and 0 <= x < 2**63, "an integer in [0, 2**63)"),
-    "language": ("language", lambda x: type(x) is str, "a string"),
-    "split": ("split", lambda x: type(x) is str, "a string"),
+# Manifest field -> (LayerBank attribute, name of one entry, entry check, what an entry
+# must be, how an entry is written).  A numpy integer or string passes as a Python one
+# does; a bool, Python's or numpy's, is never a label.
+_MANIFEST_FIELDS = {
+    "labels": ("labels", "label", lambda x: (type(x) is int or isinstance(x, np.integer)) and 0 <= x < 2**63,
+               "an integer in [0, 2**63)", int),
+    "language": ("languages", "language", lambda x: isinstance(x, str), "a string", str),
+    "split": ("splits", "split", lambda x: isinstance(x, str), "a string", str),
 }
+
+
+def _refusal(entries, entry, valid, expected):
+    """Why the first of ``entries`` that ``valid`` refuses is refused, or None."""
+    return next((f"{entry} {index} is {value!r}, expected {expected}"
+                 for index, value in enumerate(entries) if not valid(value)), None)
 
 
 @dataclass(eq=False)
@@ -61,8 +70,8 @@ class LayerBank:
 
     layers: list
     labels: np.ndarray
-    languages: list = field(default_factory=list)
-    splits: list = field(default_factory=list)
+    languages: list
+    splits: list
 
     def __post_init__(self):
         if not self.layers:
@@ -78,18 +87,20 @@ class LayerBank:
                 raise DataError(
                     f"layer {i + 1} has shape {layer.shape}, expected {shape}"
                 )
-        self.labels = np.asarray(self.labels, dtype=np.int64)
         sentences = shape[0]
-        # A bank file's manifest field, and the argument that carries it here.
-        for name, argument in (("labels", "labels"), ("language", "languages"), ("split", "splits")):
-            seq = getattr(self, argument)
-            if len(seq) != sentences:
-                raise DataError(
-                    f"manifest field {name} has {len(seq)} entries for {sentences} sentences "
-                    f"(LayerBank {argument})"
-                )
-        if self.labels.size and self.labels.min() < 0:
-            raise DataError("labels must be non-negative integers")
+        for name, (attribute, entry, valid, expected, _) in _MANIFEST_FIELDS.items():
+            values = entries = getattr(self, attribute)
+            if attribute == "labels" and isinstance(values, np.ndarray):
+                entries = values.tolist()
+            if not isinstance(entries, (list, tuple)):
+                refusal = f"manifest field {name} must be a list, got {type(values).__name__}"
+            elif len(values) != sentences:
+                refusal = f"manifest field {name} has {len(values)} entries for {sentences} sentences"
+            else:
+                refusal = _refusal(entries, entry, valid, expected)
+            if refusal:
+                raise DataError(f"{refusal} (LayerBank {attribute})")
+        self.labels = np.asarray(self.labels, dtype=np.int64)
 
     @property
     def n_layers(self):
@@ -137,9 +148,8 @@ def write_bank(bank, path):
     """
     manifest = json.dumps(
         {
-            "labels": [int(x) for x in bank.labels],
-            "language": [str(x) for x in bank.languages],
-            "split": [str(x) for x in bank.splits],
+            key: [write(x) for x in getattr(bank, attribute)]
+            for key, (attribute, *_, write) in _MANIFEST_FIELDS.items()
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -202,14 +212,14 @@ def read_bank(path):
         raise BankFormatError(f"{path}: manifest is not valid JSON ({err})") from err
     if not isinstance(manifest, dict):
         raise BankFormatError(f"{path}: manifest is not a JSON object")
-    for key, (entry, valid, expected) in _MANIFEST_LISTS.items():
+    for key, (_, entry, valid, expected, _) in _MANIFEST_FIELDS.items():
         if key not in manifest:
             raise BankFormatError(f"{path}: manifest missing field {key!r}")
         if not isinstance(manifest[key], list):
             raise BankFormatError(f"{path}: manifest {key} must be a list")
-        for index, value in enumerate(manifest[key]):
-            if not valid(value):
-                raise BankFormatError(f"{path}: {entry} {index} is {value!r}, expected {expected}")
+        refusal = _refusal(manifest[key], entry, valid, expected)
+        if refusal:
+            raise BankFormatError(f"{path}: {refusal}")
     arr = values.reshape(n_layers, sentences, tokens, channels)
     finite = np.isfinite(arr)
     if not finite.all():
@@ -219,12 +229,8 @@ def read_bank(path):
             f"token {t}, channel {e}"
         )
     try:
-        return LayerBank(
-            layers=list(arr),
-            labels=np.asarray(manifest["labels"], dtype=np.int64),
-            languages=manifest["language"],
-            splits=manifest["split"],
-        )
+        lists = {attribute: manifest[key] for key, (attribute, *_) in _MANIFEST_FIELDS.items()}
+        return LayerBank(list(arr), **lists)
     except DataError as err:
         raise DataError(f"{path}: {err}") from err
 

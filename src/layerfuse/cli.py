@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import REPORT_FORMATS, avg_cross_lingual_similarity, emit_report, render_csv
-from .bank import load_params, read_bank, save_params, write_bank
+from .bank import DataError, load_params, read_bank, save_params, write_bank
 from .fusion import build_system, eval_chunks, init_head
 from .gate import GATE_MODES, VARIANTS
 from .gradcheck import classification_pipeline, finite_difference_check
@@ -61,7 +61,7 @@ def _sha256(path):
 
 def _path_entries(paths):
     entries = []
-    for path in paths:
+    for path in filter(None, paths):
         path = Path(path)
         entry = {"path": str(path)}
         if path.exists():
@@ -83,7 +83,8 @@ def _write_manifest(args, argv, config, inputs, outputs, started):
         "argv": argv,
         "config": config,
         "seeds": config.get("seed", config.get("seeds")),
-        "inputs": _path_entries(inputs),
+        # A config file the run reads is an input too, after its banks and params.
+        "inputs": _path_entries([*inputs, getattr(args, "spec", None), getattr(args, "train_config", None)]),
         "outputs": _path_entries(outputs),
         "duration_seconds": round(time.monotonic() - started, 6),
         "version": __version__,
@@ -140,6 +141,22 @@ def _check_fit(system, params_path, banks):
                              f"{path}, which has {bank.shape[2]} channels")
 
 
+def _check_targets(source, targets, upper):
+    """Raise, naming the file, unless each (path, bank) target has layer ``upper`` and the source's channels.
+
+    The lower layer is at most ``upper``.  An ``upper`` the source lacks as well
+    is left to fail on the source, as it does without a target.
+    """
+    for path, bank in targets:
+        try:
+            if upper <= source.n_layers:
+                bank.layer(upper)
+            if bank.shape[2] != source.shape[2]:
+                raise DataError(f"bank has {bank.shape[2]} channels, the source has {source.shape[2]}")
+        except DataError as err:
+            raise DataError(f"{path}: {err}") from err
+
+
 def _cmd_gen_task(args):
     spec = _load_json(args.spec, SyntheticTaskSpec.from_dict) if args.spec else SyntheticTaskSpec()
     if args.seed is not None:
@@ -150,7 +167,7 @@ def _cmd_gen_task(args):
     print(f"wrote {args.out_src} and {args.out_tgt}: "
           f"{source.n_layers} layers, shape {source.shape}")
     config = {"spec": spec.to_dict(), "seed": spec.seed}
-    return config, [args.spec] if args.spec else [], [args.out_src, args.out_tgt], 0
+    return config, [], [args.out_src, args.out_tgt], 0
 
 
 def _cmd_inspect_bank(args):
@@ -192,6 +209,8 @@ def _cmd_train(args):
     upper = args.upper if args.upper is not None else source.n_layers
     system = build_system(args.lower, upper, source.shape[2], args.variant, args.gate_mode, cfg.seed)
     head = init_head(source.shape[2], source.num_classes, seed=cfg.seed)
+    if target is not None:
+        _check_targets(source, [(args.tgt, target)], upper)
     curve = train(system, head, source, cfg)
     if curve:
         print(f"train loss: first={curve[0]:.6f} last={curve[-1]:.6f}")
@@ -243,6 +262,7 @@ def _cmd_ablate(args):
     target = read_bank(args.tgt)
     upper = args.upper if args.upper is not None else source.n_layers
     cfg = _train_config(args)
+    _check_targets(source, [(args.tgt, target)], upper)
     # The metric columns are the SweepRow fields after config and lower.
     columns = ["variant", "seed", *(f.name for f in fields(SweepRow)[2:])]
     table, means = [], {}
@@ -280,6 +300,7 @@ def _cmd_cossim(args):
         system = build_system(
             args.lower, source.n_layers, source.shape[2], args.variant, args.gate_mode, args.seed
         )
+        _check_targets(source, zip(args.tgt, targets), source.n_layers)
     report = avg_cross_lingual_similarity(
         system, source, targets, pairs=args.pairs, split=args.split
     )

@@ -480,6 +480,41 @@ def test_bank_round_trips_random_manifests(tmp_path_factory, bank):
         assert loaded.split_indices(name).tolist() == expected, repr(name)
 
 
+_ANY_ENTRY = st.one_of(st.integers(-1, 2**64), st.booleans(), st.floats(-2, 2), st.text(max_size=2), st.none())
+_LABEL_ARRAYS = hnp.arrays(st.sampled_from([np.int8, np.uint8, np.int64, np.uint64, np.float64, np.bool_]), 3)
+
+
+@st.composite
+def _manifest_list(draw, entry):
+    """Three ``entry``s as a list or a tuple, or, half the time, anything that might pass for one."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([list, tuple]))(draw(st.lists(entry, min_size=3, max_size=3)))
+    values = draw(st.lists(st.one_of(entry, _ANY_ENTRY), min_size=2, max_size=4))
+    return draw(st.sampled_from([list, tuple, lambda v: "".join(map(str, v))]))(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    labels=st.one_of(_manifest_list(st.integers(0, 2**63 - 1)), _LABEL_ARRAYS),
+    languages=_manifest_list(st.text(max_size=2)),
+    splits=_manifest_list(st.sampled_from(["train", "test", "t\0"])),
+)
+@example(labels=[0.5, 1.7, True], languages="abc", splits=[1, None, "x"])
+@example(labels=[0, 1, 2], languages=["a", "b", "c"], splits=[1, None, "x"])
+def test_every_bank_that_constructs_round_trips(tmp_path_factory, labels, languages, splits):
+    try:
+        bank = LayerBank(layers=[np.zeros((3, 1, 1), np.float32)], labels=labels,
+                         languages=languages, splits=splits)
+    except DataError:
+        return
+    path = tmp_path_factory.mktemp("bank") / "any.bank"
+    write_bank(bank, path)
+    loaded = read_bank(path)
+    assert loaded.labels.tolist() == (labels.tolist() if isinstance(labels, np.ndarray) else list(labels))
+    assert loaded.languages == list(languages)
+    assert loaded.splits == list(splits)
+
+
 def _raw_bank(n_layers=2, b=4, t=3, e=8, floats=None, manifest=None):
     count = n_layers * b * t * e if floats is None else floats
     header = struct.pack("<4sIIIII", MAGIC, 1, n_layers, b, t, e)
@@ -654,6 +689,39 @@ class TestLayerBankValidation:
                 layers=[np.zeros((2, 2, 2))], labels=np.zeros(2, dtype=int),
                 languages=["a"], splits=["t", "t"],
             )
+
+    # Two sentences: labels [0, 1], languages ["a", "b"], splits ["t", "t"], one field replaced.
+    @pytest.mark.parametrize("field, values, named", [
+        ("labels", [0, 1.7], "label 1 is 1.7, expected an integer in [0, 2**63) (LayerBank labels)"),
+        ("labels", np.array([0.0, 1.0]), "label 0 is 0.0, expected an integer in [0, 2**63)"),
+        ("labels", [0, True], "label 1 is True, expected an integer in [0, 2**63)"),
+        ("labels", np.array([True, False]), "label 0 is True, expected an integer"),
+        ("labels", np.array([0, -1]), "label 1 is -1, expected an integer"),
+        ("labels", np.array([0, 2**63], np.uint64), "label 1 is 9223372036854775808, expected an integer"),
+        ("labels", np.array([[0], [1]]), "label 0 is [0], expected an integer"),
+        ("languages", "ab", "manifest field language must be a list, got str (LayerBank languages)"),
+        ("languages", np.array(["a", "b"]), "manifest field language must be a list, got ndarray"),
+        ("languages", ["a", 1], "language 1 is 1, expected a string (LayerBank languages)"),
+        ("splits", ["t", 2.5], "split 1 is 2.5, expected a string (LayerBank splits)"),
+        ("splits", (None, "t"), "split 0 is None, expected a string (LayerBank splits)"),
+    ])
+    def test_manifest_entries_named(self, field, values, named):
+        manifest = {"labels": [0, 1], "languages": ["a", "b"], "splits": ["t", "t"], field: values}
+        with pytest.raises(DataError, match=f"^{re.escape(named)}"):
+            LayerBank(layers=[np.zeros((2, 1, 1))], **manifest)
+
+    def test_integer_label_arrays_accepted(self):
+        for labels in (np.array([0, 1], np.uint8), np.array([0, 2**63 - 1], np.uint64), (0, 1)):
+            bank = LayerBank(layers=[np.zeros((2, 1, 1))], labels=labels, languages=("a", "b"), splits=["t", "t"])
+            assert bank.labels.dtype == np.int64 and bank.labels.tolist() == list(labels)
+
+    def test_numpy_scalar_entries_round_trip(self, tmp_path):
+        # Entries taken out of numpy arrays pass as the Python ints and strings they equal.
+        bank = LayerBank(layers=[np.zeros((2, 1, 1))], labels=list(np.array([0, 1], np.uint64)),
+                         languages=list(np.array(["a", "b"])), splits=list(np.array(["t", "u"])))
+        write_bank(bank, tmp_path / "np.bank")
+        loaded = read_bank(tmp_path / "np.bank")
+        assert (loaded.labels.tolist(), loaded.languages, loaded.splits) == ([0, 1], ["a", "b"], ["t", "u"])
 
     def test_layer_index_bounds(self, bank):
         with pytest.raises(DataError, match="layers 1..2"):

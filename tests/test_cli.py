@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, manifests, and reproducibility."""
 
 import argparse
+import hashlib
 import json
 import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +153,9 @@ def test_train_config_file(workspace, tmp_path):
     assert manifest["config"]["train"]["epochs"] == 2
     assert manifest["config"]["train"]["learning_rate"] == 0.005
     assert manifest["config"]["train"]["seed"] == 11
+    # The config file is an input, so a changed file shows on replay.
+    digest = hashlib.sha256(cfg_path.read_bytes()).hexdigest()
+    assert {"path": str(cfg_path), "sha256": digest} in manifest["inputs"]
 
 
 def test_train_config_unknown_field_rejected(workspace, tmp_path, capsys):
@@ -391,6 +396,46 @@ def test_train_past_the_top_layer_exits_one_without_params(tmp_path, capsys, epo
     assert not params.exists()
 
 
+def _misfit_banks(tmp_path):
+    """A 6-layer, 4-channel source; a sentence-aligned target with 4 layers; one with 2 channels."""
+    spec = SyntheticTaskSpec(train_sentences=8, test_sentences=4, channels=4, latent_dim=2, tokens=2, seed=3)
+    source, target = generate_task(spec)
+    paths = {name: tmp_path / f"{name}.bank" for name in ("src", "layers", "channels")}
+    write_bank(source, paths["src"])
+    write_bank(replace(target, layers=target.layers[:4]), paths["layers"])
+    write_bank(replace(target, layers=[layer[:, :, :2] for layer in target.layers]), paths["channels"])
+    return paths
+
+
+@pytest.mark.parametrize("misfit, named", [
+    ("layers", "bank has layers 1..4, requested 6"),
+    ("channels", "bank has 2 channels, the source has 4"),
+])
+@pytest.mark.parametrize("command", [
+    ["train", "--lower", "2", "--out"],
+    ["train", "--baseline", "--out"],
+    ["ablate", "--lower", "2", "--report"],
+    ["cossim", "--lower", "2", "--out"],
+    ["cossim", "--baseline", "--out"],
+], ids=" ".join)
+def test_target_that_does_not_fit_exits_one_before_any_work(tmp_path, capsys, command, misfit, named):
+    paths = _misfit_banks(tmp_path)
+    name, *flags = command
+    rc = main([name, "--src", str(paths["src"]), "--tgt", str(paths[misfit]), *flags, str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {paths[misfit]}: {named}\n")
+    assert sorted(tmp_path.iterdir()) == sorted(paths.values())
+
+
+def test_layer_both_banks_lack_is_refused_on_the_source(tmp_path, capsys):
+    paths = _misfit_banks(tmp_path)
+    rc = main(["train", "--src", str(paths["src"]), "--tgt", str(paths["layers"]), "--lower", "2",
+               "--upper", "9", "--out", str(tmp_path / "p.json")])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: bank has layers 1..6, requested 9\n")
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_ablate_full_row_equals_sweep_row(workspace, tmp_path):
     banks = ["--src", str(workspace / "src.bank"), "--tgt", str(workspace / "tgt.bank")]
     rc = main(["ablate", *banks, "--lower", "2", "--seeds", "4", "--epochs", "2",
@@ -417,7 +462,9 @@ def test_ablate_csv_bytes(monkeypatch, tmp_path, capsys):
         return SweepRow(f"D_{lower}", lower, share, share / 3, target[cfg.seed] * share,
                         0.1 * cfg.seed)
 
-    monkeypatch.setattr(cli, "read_bank", lambda path: None)
+    # ablate checks that the target fits before any row, so each path reads as a two-layer bank.
+    stub = LayerBank(layers=[np.zeros((1, 1, 1))] * 2, labels=[0], languages=["a"], splits=["t"])
+    monkeypatch.setattr(cli, "read_bank", lambda path: stub)
     monkeypatch.setattr(cli, "sweep_row", fixed_row)
     report = tmp_path / "ablate.csv"
     rc = main(["ablate", "--src", "s.bank", "--tgt", "t.bank", "--lower", "1", "--upper", "2",
