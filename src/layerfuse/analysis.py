@@ -60,14 +60,15 @@ def avg_cross_lingual_similarity(system, source, targets, pairs=20, split="test"
     targets = list(targets)
     if not targets:
         raise DataError("at least one target bank is required")
-    source_vectors = sentence_embeddings(system, source, rows)
-    per_language = {}
-    combined = []
     for index, target in enumerate(targets):
         if target.shape[0] != source.shape[0] or list(target.splits) != list(source.splits):
             raise DataError(
                 f"target bank {index} is not sentence-aligned with the source bank"
             )
+    source_vectors = sentence_embeddings(system, source, rows)
+    per_language = {}
+    combined = []
+    for index, target in enumerate(targets):
         target_vectors = sentence_embeddings(system, target, rows)
         sims = [
             cosine_similarity(source_vectors[i], target_vectors[i])

@@ -124,6 +124,27 @@ class LayerBank:
         return np.flatnonzero(np.fromiter((name == split for name in self.splits), bool))
 
 
+def check_fit(banks, upper, channels, split=None, params=None):
+    """Raise DataError, naming the bank's file, unless each (path, bank) of ``banks`` fits a run.
+
+    A bank fits when it holds layer ``upper`` (a run's lower layer is at most
+    ``upper``), has ``channels`` channels and, when ``split`` is given, a
+    sentence in that split.  ``params`` names the parameter file that sets
+    ``upper`` and ``channels``, when one does.
+    """
+    by = f" by {params}" if params else ""
+    for path, bank in banks:
+        if upper > bank.n_layers:
+            refusal = f"bank has layers 1..{bank.n_layers}, requested {upper}{by}"
+        elif bank.shape[2] != channels:
+            refusal = f"bank has {bank.shape[2]} channels, requested {channels}{by}"
+        elif split is not None and not bank.split_indices(split).size:
+            refusal = f"bank has no sentences in the {split!r} split"
+        else:
+            continue
+        raise DataError(f"{path}: {refusal}")
+
+
 def _atomic_write(path, chunks):
     path = os.fspath(path)
     # Created as open() creates a file, so the umask sets its mode (mkstemp's is 0600).

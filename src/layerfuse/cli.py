@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import REPORT_FORMATS, avg_cross_lingual_similarity, emit_report, render_csv
-from .bank import DataError, load_params, read_bank, save_params, write_bank
+from .bank import check_fit, load_params, read_bank, save_params, write_bank
 from .fusion import build_system, eval_chunks, init_head
 from .gate import GATE_MODES, VARIANTS
 from .gradcheck import classification_pipeline, finite_difference_check
@@ -124,39 +124,6 @@ def _add_train_flags(parser):
     parser.add_argument("--weight-decay", type=float, default=None)
 
 
-def _check_fit(system, params_path, banks):
-    """Raise, naming both files, unless each bank has the layers and channels of ``system``.
-
-    ``banks`` holds (path, bank) pairs; the fields checked are those of the
-    params file's ``system`` block.
-    """
-    spec = system.describe()
-    for path, bank in banks:
-        for key in ("lower", "upper"):
-            if key in spec and spec[key] > bank.n_layers:
-                raise ValueError(f"{params_path}: system.{key} {spec[key]} is not a layer of "
-                                 f"{path}, which has layers 1..{bank.n_layers}")
-        if "channels" in spec and spec["channels"] != bank.shape[2]:
-            raise ValueError(f"{params_path}: system.channels {spec['channels']} does not fit "
-                             f"{path}, which has {bank.shape[2]} channels")
-
-
-def _check_targets(source, targets, upper):
-    """Raise, naming the file, unless each (path, bank) target has layer ``upper`` and the source's channels.
-
-    The lower layer is at most ``upper``.  An ``upper`` the source lacks as well
-    is left to fail on the source, as it does without a target.
-    """
-    for path, bank in targets:
-        try:
-            if upper <= source.n_layers:
-                bank.layer(upper)
-            if bank.shape[2] != source.shape[2]:
-                raise DataError(f"bank has {bank.shape[2]} channels, the source has {source.shape[2]}")
-        except DataError as err:
-            raise DataError(f"{path}: {err}") from err
-
-
 def _cmd_gen_task(args):
     spec = _load_json(args.spec, SyntheticTaskSpec.from_dict) if args.spec else SyntheticTaskSpec()
     if args.seed is not None:
@@ -187,8 +154,8 @@ def _cmd_inspect_bank(args):
 
 def _cmd_fuse(args):
     bank = read_bank(args.bank)
-    system, _ = load_params(args.params)
-    _check_fit(system, args.params, [(args.bank, bank)])
+    system, head = load_params(args.params)
+    check_fit([(args.bank, bank)], system.describe()["upper"], head.weight.data.shape[0], params=args.params)
     # Filled one chunk at a time; each value is rounded once from float64, as
     # write_bank rounds a float64 layer.
     fused = np.empty(bank.shape, np.float32)
@@ -204,21 +171,18 @@ def _cmd_fuse(args):
 
 def _cmd_train(args):
     source = read_bank(args.src)
-    target = read_bank(args.tgt) if args.tgt else None
+    banks = [(args.src, source)] + ([(args.tgt, read_bank(args.tgt))] if args.tgt else [])
     cfg = _train_config(args)
     upper = args.upper if args.upper is not None else source.n_layers
+    check_fit(banks, upper, source.shape[2], "test")
     system = build_system(args.lower, upper, source.shape[2], args.variant, args.gate_mode, cfg.seed)
     head = init_head(source.shape[2], source.num_classes, seed=cfg.seed)
-    if target is not None:
-        _check_targets(source, [(args.tgt, target)], upper)
     curve = train(system, head, source, cfg)
     if curve:
         print(f"train loss: first={curve[0]:.6f} last={curve[-1]:.6f}")
-    on_source = evaluate(system, head, source, "test")
-    print(f"source test: acc={on_source.accuracy:.4f} f1={on_source.micro_f1:.4f}")
-    if target is not None:
-        on_target = evaluate(system, head, target, "test")
-        print(f"target test: acc={on_target.accuracy:.4f} f1={on_target.micro_f1:.4f}")
+    for name, (_, bank) in zip(("source", "target"), banks):
+        metrics = evaluate(system, head, bank, "test")
+        print(f"{name} test: acc={metrics.accuracy:.4f} f1={metrics.micro_f1:.4f}")
     save_params(system, head, args.out)
     config = {
         "system": system.config_id(),
@@ -227,17 +191,19 @@ def _cmd_train(args):
         "train": cfg.__dict__,
         "seed": cfg.seed,
     }
-    return config, [args.src] + ([args.tgt] if args.tgt else []), [args.out], 0
+    return config, [args.src, args.tgt], [args.out], 0
 
 
 def _cmd_sweep(args):
     source = read_bank(args.src)
     target = read_bank(args.tgt)
     cfg = _train_config(args)
+    upper = args.upper if args.upper is not None else source.n_layers
+    check_fit([(args.src, source), (args.tgt, target)], upper, source.shape[2], "test")
     layers = args.layers if args.layers is not None else list(range(1, source.n_layers + 1))
     report = layer_sweep(
         source, target, layers, cfg,
-        variant=args.variant, mode=args.gate_mode, upper=args.upper, jobs=args.jobs,
+        variant=args.variant, mode=args.gate_mode, upper=upper, jobs=args.jobs,
     )
     Path(args.report).write_text(emit_report(report, "csv"), encoding="utf-8")
     outputs = [args.report]
@@ -262,7 +228,7 @@ def _cmd_ablate(args):
     target = read_bank(args.tgt)
     upper = args.upper if args.upper is not None else source.n_layers
     cfg = _train_config(args)
-    _check_targets(source, [(args.tgt, target)], upper)
+    check_fit([(args.src, source), (args.tgt, target)], upper, source.shape[2], "test")
     # The metric columns are the SweepRow fields after config and lower.
     columns = ["variant", "seed", *(f.name for f in fields(SweepRow)[2:])]
     table, means = [], {}
@@ -291,16 +257,16 @@ def _cmd_ablate(args):
 def _cmd_cossim(args):
     source = read_bank(args.src)
     targets = [read_bank(path) for path in args.tgt]
-    inputs = [args.src, *args.tgt]
     if args.params:
-        system, _ = load_params(args.params)
-        _check_fit(system, args.params, zip([args.src, *args.tgt], [source, *targets]))
-        inputs.append(args.params)
+        system, head = load_params(args.params)
+        channels = head.weight.data.shape[0]
     else:
         system = build_system(
             args.lower, source.n_layers, source.shape[2], args.variant, args.gate_mode, args.seed
         )
-        _check_targets(source, zip(args.tgt, targets), source.n_layers)
+        channels = source.shape[2]
+    check_fit(zip([args.src, *args.tgt], [source, *targets]), system.describe()["upper"], channels,
+              args.split, args.params)
     report = avg_cross_lingual_similarity(
         system, source, targets, pairs=args.pairs, split=args.split
     )
@@ -318,7 +284,7 @@ def _cmd_cossim(args):
         "format": args.format,
         "seed": args.seed,
     }
-    return config, inputs, outputs, 0
+    return config, [args.src, *args.tgt, args.params], outputs, 0
 
 
 def _cmd_gradcheck(args):

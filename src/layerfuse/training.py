@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bank import DataError, check_document
+from .bank import DataError, check_document, check_fit
 from .fusion import build_system, init_head, sentence_embeddings, stored_values
 from .seeding import STREAM_BATCHES, rng_stream
 from .tensor import DegenerateBatchError, DimensionError, Tensor, _node, backward, mean_pool_tokens
@@ -312,17 +312,15 @@ def _run_row(lower):
 def layer_sweep(source, target, layers, cfg, variant="full", mode="sigmoid", upper=None, jobs=1):
     """Train and evaluate the baseline plus one fused system per lower layer.
 
-    Every row shares the same seed protocol, so the row fusing the upper
-    layer with itself reproduces the baseline exactly.  Rows are independent;
-    ``jobs`` > 1 computes them in worker processes with identical results.
+    Both banks must hold layer ``upper``, the source's channels and a test
+    sentence (``check_fit``).  Every row shares the same seed protocol, so
+    the row fusing the upper layer with itself reproduces the baseline
+    exactly.  Rows are independent; ``jobs`` > 1 computes them in worker
+    processes with identical results.
     """
     if upper is None:
         upper = source.n_layers
-    if source.shape != target.shape or source.n_layers != target.n_layers:
-        raise DataError(
-            f"source and target banks differ: {source.n_layers} layers of "
-            f"{source.shape} vs {target.n_layers} of {target.shape}"
-        )
+    check_fit([("source", source), ("target", target)], upper, source.shape[2], "test")
     wanted = sorted(set(int(x) for x in layers))
     for layer in wanted:
         if not 1 <= layer <= upper:

@@ -23,6 +23,7 @@ from layerfuse import (
     emit_report,
     generate_task,
 )
+from layerfuse import analysis
 from layerfuse.analysis import avg_cross_lingual_similarity
 from layerfuse.training import SweepReport, SweepRow
 
@@ -126,17 +127,21 @@ class TestProbe:
         assert report.pairs == 40
         assert report.per_language["other"] == 1.0
 
-    def test_misaligned_banks_rejected(self, banks):
-        source, _ = banks
+    def test_misaligned_banks_rejected(self, banks, monkeypatch):
+        source, target = banks
         short = LayerBank(
             layers=[layer[:10] for layer in source.layers],
             labels=source.labels[:10],
             languages=["tgt"] * 10,
             splits=list(source.splits[:10]),
         )
+        # Every target is checked before the first forward.
+        forwards = []
+        monkeypatch.setattr(analysis, "sentence_embeddings", lambda *args: forwards.append(args))
         system = BaselineSystem(upper=3)
-        with pytest.raises(DataError):
-            avg_cross_lingual_similarity(system, source, [short])
+        with pytest.raises(DataError, match="^target bank 1 is not sentence-aligned with the source bank$"):
+            avg_cross_lingual_similarity(system, source, [target, short])
+        assert forwards == []
 
     def test_no_targets_rejected(self, banks):
         source, _ = banks

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 import re
 import struct
@@ -332,20 +333,21 @@ def test_fuse_malformed_params_exit_one(workspace, tmp_path, capsys):
     assert not (tmp_path / "f.bank").exists()
 
 
-# (params that do not fit the 3-layer, 8-channel workspace banks, field the error names)
+# (system, its head's channels, why the params do not fit the 3-layer, 8-channel workspace banks)
 UNFIT_PARAMS = {
-    "channels": (build_fusion_system(LayerPair(1, 3), 16), "system.channels 16"),
-    "fusion-upper": (build_fusion_system(LayerPair(1, 9), 8), "system.upper 9"),
-    "baseline-upper": (BaselineSystem(upper=5), "system.upper 5"),
+    "channels": (build_fusion_system(LayerPair(1, 3), 16), 16, "bank has 8 channels, requested 16"),
+    "fusion-upper": (build_fusion_system(LayerPair(1, 9), 8), 8, "bank has layers 1..3, requested 9"),
+    "baseline-upper": (BaselineSystem(upper=5), 8, "bank has layers 1..3, requested 5"),
+    "baseline-channels": (BaselineSystem(upper=3), 16, "bank has 8 channels, requested 16"),
 }
 
 
 @pytest.mark.parametrize("command", ["fuse", "cossim"])
 @pytest.mark.parametrize("case", UNFIT_PARAMS)
 def test_params_that_do_not_fit_the_bank_exit_one(workspace, tmp_path, capsys, command, case):
-    system, field = UNFIT_PARAMS[case]
+    system, channels, refusal = UNFIT_PARAMS[case]
     params, out = tmp_path / "p.json", tmp_path / "out"
-    save_params(system, init_head(system.describe().get("channels", 8), 4, seed=0), params)
+    save_params(system, init_head(channels, 4, seed=0), params)
     bank = workspace / "src.bank"
     if command == "fuse":
         argv = ["fuse", "--bank", str(bank), "--params", str(params), "--out", str(out)]
@@ -354,8 +356,7 @@ def test_params_that_do_not_fit_the_bank_exit_one(workspace, tmp_path, capsys, c
                 "--params", str(params), "--out", str(out)]
     rc = main(argv)
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {params}: {field} ") and str(bank) in err
+    assert capsys.readouterr().err == f"error: {bank}: {refusal} by {params}\n"
     assert not out.exists()
 
 
@@ -392,39 +393,94 @@ def test_train_past_the_top_layer_exits_one_without_params(tmp_path, capsys, epo
     rc = main(["train", "--src", str(tmp_path / "src.bank"), "--lower", "2", "--upper", "9",
                "--epochs", epochs, "--out", str(params)])
     assert rc == 1
-    assert capsys.readouterr() == ("", "error: bank has layers 1..6, requested 9\n")
+    assert capsys.readouterr() == ("", f"error: {tmp_path / 'src.bank'}: bank has layers 1..6, requested 9\n")
     assert not params.exists()
 
 
 def _misfit_banks(tmp_path):
-    """A 6-layer, 4-channel source; a sentence-aligned target with 4 layers; one with 2 channels."""
+    """A 6-layer, 4-channel source and sentence-aligned targets: one that fits, one with 4 layers,
+    one with 2 channels and one with no sentence in the test split."""
     spec = SyntheticTaskSpec(train_sentences=8, test_sentences=4, channels=4, latent_dim=2, tokens=2, seed=3)
     source, target = generate_task(spec)
-    paths = {name: tmp_path / f"{name}.bank" for name in ("src", "layers", "channels")}
-    write_bank(source, paths["src"])
-    write_bank(replace(target, layers=target.layers[:4]), paths["layers"])
-    write_bank(replace(target, layers=[layer[:, :, :2] for layer in target.layers]), paths["channels"])
+    banks = {
+        "src": source,
+        "fit": target,
+        "layers": replace(target, layers=target.layers[:4]),
+        "channels": replace(target, layers=[layer[:, :, :2] for layer in target.layers]),
+        "split": replace(target, splits=["train"] * len(target.splits)),
+    }
+    paths = {name: tmp_path / f"{name}.bank" for name in banks}
+    for name, bank in banks.items():
+        write_bank(bank, paths[name])
     return paths
 
 
-@pytest.mark.parametrize("misfit, named", [
-    ("layers", "bank has layers 1..4, requested 6"),
-    ("channels", "bank has 2 channels, the source has 4"),
-])
-@pytest.mark.parametrize("command", [
-    ["train", "--lower", "2", "--out"],
-    ["train", "--baseline", "--out"],
-    ["ablate", "--lower", "2", "--report"],
-    ["cossim", "--lower", "2", "--out"],
-    ["cossim", "--baseline", "--out"],
-], ids=" ".join)
-def test_target_that_does_not_fit_exits_one_before_any_work(tmp_path, capsys, command, misfit, named):
+def _flag_tokens(action):
+    """The ways to pass one flag: a switch alone, --params with a baseline or a fusion file, else lower layer 2."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        return [[flag]]
+    if flag == "--params":
+        return [[flag, "baseline"], [flag, "fusion"]]
+    return [[flag, "2"]]
+
+
+def _commands_reading_a_target():
+    """(argv after --src and --tgt, whether it takes --upper) for each subcommand of the parser that takes --tgt.
+
+    One argv per choice of each required flag group and per way to pass a
+    required flag; each ends with the subcommand's output flag.
+    """
+    subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subcommands.choices.items():
+        flags = sub._option_string_actions
+        if "--tgt" not in flags:
+            continue
+        output = "--out" if "--out" in flags else "--report"
+        required = [action for action in sub._actions
+                    if action.required and action.option_strings[0] not in ("--src", "--tgt", output)]
+        groups = [group._group_actions for group in sub._mutually_exclusive_groups if group.required]
+        for choice in itertools.product(*groups):
+            for tokens in itertools.product(*map(_flag_tokens, [*choice, *required])):
+                yield [name, *itertools.chain(*tokens), output], "--upper" in flags
+
+
+def _misfits():
+    """Each command reading a target under each misfit: a target that lacks layer 6, channels or a
+    test sentence, or an upper layer 9 the source lacks, from --upper or the params file."""
+    for argv, takes_upper in _commands_reading_a_target():
+        for misfit in ("layers", "channels", "split", "upper"):
+            if misfit != "upper" or takes_upper or "--params" in argv:
+                yield pytest.param(argv, misfit, id=f"{' '.join(argv)}-{misfit}")
+
+
+@pytest.mark.parametrize("command, misfit", _misfits())
+def test_target_that_does_not_fit_exits_one_before_any_work(tmp_path, capsys, command, misfit):
     paths = _misfit_banks(tmp_path)
+    inputs, extra, by = list(paths.values()), [], ""
+    if "--params" in command:
+        kind = command[command.index("--params") + 1]
+        params = tmp_path / f"{kind}.json"
+        upper = 9 if misfit == "upper" else 6
+        system = BaselineSystem(upper) if kind == "baseline" else build_fusion_system(LayerPair(2, upper), 4)
+        save_params(system, init_head(4, 2, seed=0), params)
+        command = [str(params) if token == kind else token for token in command]
+        inputs.append(params)
+        by = f" by {params}"
+    elif misfit == "upper":
+        extra = ["--upper", "9"]
+    refusal = {
+        "layers": f"bank has layers 1..4, requested 6{by}",
+        "channels": f"bank has 2 channels, requested 4{by}",
+        "split": "bank has no sentences in the 'test' split",
+        "upper": f"bank has layers 1..6, requested 9{by}",
+    }[misfit]
+    refused, target = (paths["src"], paths["fit"]) if misfit == "upper" else (paths[misfit],) * 2
     name, *flags = command
-    rc = main([name, "--src", str(paths["src"]), "--tgt", str(paths[misfit]), *flags, str(tmp_path / "out")])
+    rc = main([name, "--src", str(paths["src"]), "--tgt", str(target), *flags, str(tmp_path / "out"), *extra])
     assert rc == 1
-    assert capsys.readouterr() == ("", f"error: {paths[misfit]}: {named}\n")
-    assert sorted(tmp_path.iterdir()) == sorted(paths.values())
+    assert capsys.readouterr() == ("", f"error: {refused}: {refusal}\n")
+    assert sorted(tmp_path.iterdir()) == sorted(inputs)
 
 
 def test_layer_both_banks_lack_is_refused_on_the_source(tmp_path, capsys):
@@ -432,8 +488,37 @@ def test_layer_both_banks_lack_is_refused_on_the_source(tmp_path, capsys):
     rc = main(["train", "--src", str(paths["src"]), "--tgt", str(paths["layers"]), "--lower", "2",
                "--upper", "9", "--out", str(tmp_path / "p.json")])
     assert rc == 1
-    assert capsys.readouterr() == ("", "error: bank has layers 1..6, requested 9\n")
+    assert capsys.readouterr() == ("", f"error: {paths['src']}: bank has layers 1..6, requested 9\n")
     assert not (tmp_path / "p.json").exists()
+
+
+def test_cossim_split_the_source_lacks_is_refused_on_the_source(tmp_path, capsys):
+    paths = _misfit_banks(tmp_path)
+    rc = main(["cossim", "--src", str(paths["src"]), "--tgt", str(paths["fit"]), "--baseline",
+               "--split", "dev", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {paths['src']}: bank has no sentences in the 'dev' split\n")
+    assert sorted(tmp_path.iterdir()) == sorted(paths.values())
+
+
+@pytest.mark.parametrize("fitting", ["seventh layer", "fewer sentences"])
+def test_sweep_reads_a_target_that_fits(tmp_path, fitting):
+    paths = _misfit_banks(tmp_path)
+    target = read_bank(paths["fit"])
+    if fitting == "seventh layer":
+        other = replace(target, layers=[*target.layers, target.layers[0]])
+    else:  # the first two train sentences dropped
+        other = replace(target, layers=[layer[2:] for layer in target.layers], labels=target.labels[2:],
+                        languages=target.languages[2:], splits=target.splits[2:])
+    write_bank(other, tmp_path / "other.bank")
+    reports = []
+    for name in ("fit", "other"):
+        reports.append(tmp_path / f"{name}.csv")
+        rc = main(["sweep", "--src", str(paths["src"]), "--tgt", str(tmp_path / f"{name}.bank"),
+                   "--layers", "5,6", "--epochs", "1", "--report", str(reports[-1])])
+        assert rc == 0
+    if fitting == "seventh layer":
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 def test_ablate_full_row_equals_sweep_row(workspace, tmp_path):
@@ -462,8 +547,9 @@ def test_ablate_csv_bytes(monkeypatch, tmp_path, capsys):
         return SweepRow(f"D_{lower}", lower, share, share / 3, target[cfg.seed] * share,
                         0.1 * cfg.seed)
 
-    # ablate checks that the target fits before any row, so each path reads as a two-layer bank.
-    stub = LayerBank(layers=[np.zeros((1, 1, 1))] * 2, labels=[0], languages=["a"], splits=["t"])
+    # ablate checks that each bank fits before any row, so each path reads as a two-layer bank
+    # with a test sentence.
+    stub = LayerBank(layers=[np.zeros((1, 1, 1))] * 2, labels=[0], languages=["a"], splits=["test"])
     monkeypatch.setattr(cli, "read_bank", lambda path: stub)
     monkeypatch.setattr(cli, "sweep_row", fixed_row)
     report = tmp_path / "ablate.csv"

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -133,6 +134,15 @@ def test_mismatched_banks_rejected(banks):
     )
     with pytest.raises(DataError):
         layer_sweep(source, other, [1], CFG)
+
+
+def test_target_with_other_sentence_count_accepted(banks):
+    source, target = banks
+    # The first two train sentences dropped: the target still holds every layer, channel and test sentence.
+    fewer = replace(target, layers=[layer[2:] for layer in target.layers], labels=target.labels[2:],
+                    languages=target.languages[2:], splits=target.splits[2:])
+    sweep = layer_sweep(source, fewer, [4], CFG)
+    assert [row.config for row in sweep.rows] == ["baseline", "D_4"]
 
 
 def test_duplicate_layers_deduplicated(banks):
