@@ -81,7 +81,6 @@ from .training import (
     TrainConfig,
     classification_metrics,
     evaluate,
-    full_scale_config,
     layer_sweep,
     softmax_cross_entropy,
     train,

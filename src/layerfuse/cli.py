@@ -27,7 +27,6 @@ from .training import (
     SweepRow,
     TrainConfig,
     evaluate,
-    full_scale_config,
     layer_sweep,
     sweep_row,
     train,
@@ -101,21 +100,24 @@ def _load_json(path, build):
         raise ValueError(f"{path}: {err}") from err
 
 
-def _train_config(args):
-    # Precedence: preset defaults < --train-config JSON < explicit flags, each
-    # applied through the same validation.
-    cfg = full_scale_config() if args.preset == "full-scale" else TrainConfig()
-    if args.train_config:
-        cfg = _load_json(args.train_config, lambda doc: TrainConfig.from_dict(doc, cfg))
+def _run_setup(args):
+    """The banks a training command reads (``--src``, then ``--tgt`` if given),
+    its train config and its upper layer, each bank checked to fit the run."""
+    banks = [(path, read_bank(path)) for path in (args.src, args.tgt) if path]
+    # Precedence: defaults < --train-config JSON < explicit flags, each applied
+    # through the same validation.
+    cfg = _load_json(args.train_config, TrainConfig.from_dict) if args.train_config else TrainConfig()
     flags = ("seed", "epochs", "batch_size", "learning_rate", "weight_decay")
-    return replace(cfg, **{name: getattr(args, name) for name in flags if getattr(args, name) is not None})
+    cfg = replace(cfg, **{name: getattr(args, name) for name in flags if getattr(args, name) is not None})
+    source = banks[0][1]
+    upper = args.upper if args.upper is not None else source.n_layers
+    check_fit(banks, upper, source.shape[2], "test")
+    return [bank for _, bank in banks], cfg, upper
 
 
 def _add_train_flags(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="run seed; all streams derive from it (default 0)")
-    parser.add_argument("--preset", choices=("desk", "full-scale"), default="desk",
-                        help="hyper-parameter preset (desk-scale default, or full-scale lr 2e-5)")
     parser.add_argument("--train-config", default=None,
                         help="JSON file with train config fields; flags override it")
     parser.add_argument("--epochs", type=int, default=None)
@@ -170,17 +172,14 @@ def _cmd_fuse(args):
 
 
 def _cmd_train(args):
-    source = read_bank(args.src)
-    banks = [(args.src, source)] + ([(args.tgt, read_bank(args.tgt))] if args.tgt else [])
-    cfg = _train_config(args)
-    upper = args.upper if args.upper is not None else source.n_layers
-    check_fit(banks, upper, source.shape[2], "test")
+    banks, cfg, upper = _run_setup(args)
+    source = banks[0]
     system = build_system(args.lower, upper, source.shape[2], args.variant, args.gate_mode, cfg.seed)
     head = init_head(source.shape[2], source.num_classes, seed=cfg.seed)
     curve = train(system, head, source, cfg)
     if curve:
         print(f"train loss: first={curve[0]:.6f} last={curve[-1]:.6f}")
-    for name, (_, bank) in zip(("source", "target"), banks):
+    for name, bank in zip(("source", "target"), banks):
         metrics = evaluate(system, head, bank, "test")
         print(f"{name} test: acc={metrics.accuracy:.4f} f1={metrics.micro_f1:.4f}")
     save_params(system, head, args.out)
@@ -195,12 +194,8 @@ def _cmd_train(args):
 
 
 def _cmd_sweep(args):
-    source = read_bank(args.src)
-    target = read_bank(args.tgt)
-    cfg = _train_config(args)
-    upper = args.upper if args.upper is not None else source.n_layers
-    check_fit([(args.src, source), (args.tgt, target)], upper, source.shape[2], "test")
-    layers = args.layers if args.layers is not None else list(range(1, source.n_layers + 1))
+    (source, target), cfg, upper = _run_setup(args)
+    layers = args.layers if args.layers is not None else list(range(1, upper + 1))
     report = layer_sweep(
         source, target, layers, cfg,
         variant=args.variant, mode=args.gate_mode, upper=upper, jobs=args.jobs,
@@ -224,11 +219,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_ablate(args):
-    source = read_bank(args.src)
-    target = read_bank(args.tgt)
-    upper = args.upper if args.upper is not None else source.n_layers
-    cfg = _train_config(args)
-    check_fit([(args.src, source), (args.tgt, target)], upper, source.shape[2], "test")
+    (source, target), cfg, upper = _run_setup(args)
     # The metric columns are the SweepRow fields after config and lower.
     columns = ["variant", "seed", *(f.name for f in fields(SweepRow)[2:])]
     table, means = [], {}

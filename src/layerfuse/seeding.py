@@ -15,4 +15,6 @@ def rng_stream(seed, *key):
     Components that derive their generators through distinct keys can be
     added or removed without shifting each other's draws.
     """
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng([int(seed), *(int(k) for k in key)])

@@ -2,7 +2,7 @@
 
 import concurrent.futures
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,9 +16,7 @@ from .tensor import DegenerateBatchError, DimensionError, Tensor, _node, backwar
 class TrainConfig:
     """Optimizer and schedule settings for one training run.
 
-    The defaults are sized for the synthetic desk-scale tasks; see
-    ``full_scale_config`` for the preset used when fine-tuning on top of a
-    full pretrained encoder.
+    The defaults are sized for the synthetic desk-scale tasks.
     """
 
     learning_rate: float = 1e-3
@@ -45,15 +43,10 @@ class TrainConfig:
             raise ValueError("weight_decay must be non-negative")
 
     @classmethod
-    def from_dict(cls, doc, base=None):
-        """Config from a JSON object; fields it omits come from ``base`` or the defaults."""
+    def from_dict(cls, doc):
+        """Config from a JSON object; fields it omits keep their defaults."""
         check_document(cls, doc, ValueError, "train config")
-        return replace(cls() if base is None else base, **doc)
-
-
-def full_scale_config(**overrides):
-    """Preset for fine-tuning behind a full pretrained encoder (lr 2e-5)."""
-    return replace(TrainConfig(learning_rate=2e-5), **overrides)
+        return cls(**doc)
 
 
 def softmax_cross_entropy(logits, labels):

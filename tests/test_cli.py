@@ -521,6 +521,35 @@ def test_sweep_reads_a_target_that_fits(tmp_path, fitting):
         assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
+def test_sweep_upper_without_layers_sweeps_every_layer_up_to_it(tmp_path):
+    spec = SyntheticTaskSpec(train_sentences=8, test_sentences=4, channels=4, latent_dim=2, tokens=2,
+                             n_layers=4, invariance=(0.9, 0.7, 0.5, 0.1), seed=3)
+    for bank, name in zip(generate_task(spec), ("src", "tgt")):
+        write_bank(bank, tmp_path / f"{name}.bank")
+    report = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--src", str(tmp_path / "src.bank"), "--tgt", str(tmp_path / "tgt.bank"),
+               "--upper", "3", "--epochs", "1", "--report", str(report)])
+    assert rc == 0
+    rows = [line.split(",")[0] for line in report.read_text().splitlines()[1:]]
+    assert rows == ["baseline", "D_1", "D_2", "D_3"]
+
+
+@pytest.mark.parametrize("command", [
+    "train {banks} --lower 1 --out out --seed -1",
+    "sweep {banks} --layers 1 --report out --seed -1",
+    "ablate {banks} --lower 1 --report out --seeds -1",  # ablate trains at each of --seeds
+    "cossim {banks} --lower 1 --out out --seed -1",
+    "gen-task --out-src out --out-tgt out2 --seed -1",
+    "gradcheck --seed -1",
+], ids=lambda command: command.split()[0])
+def test_negative_seed_is_named(workspace, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    banks = f"--src {workspace / 'src.bank'} --tgt {workspace / 'tgt.bank'}"
+    assert main(command.format(banks=banks).split()) == 1
+    assert capsys.readouterr() == ("", "error: seed must be a non-negative integer, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ablate_full_row_equals_sweep_row(workspace, tmp_path):
     banks = ["--src", str(workspace / "src.bank"), "--tgt", str(workspace / "tgt.bank")]
     rc = main(["ablate", *banks, "--lower", "2", "--seeds", "4", "--epochs", "2",

@@ -23,7 +23,6 @@ from layerfuse import (
     build_fusion_system,
     classification_metrics,
     evaluate,
-    full_scale_config,
     generate_task,
     init_head,
     parameter,
@@ -162,19 +161,15 @@ class TestAdamW:
             TrainConfig(epochs=-1)
 
     def test_config_from_dict(self):
-        # An int is a valid float; omitted fields come from the base.
-        cfg = TrainConfig.from_dict({"learning_rate": 1, "epochs": 2}, full_scale_config(seed=3))
-        assert (cfg.learning_rate, cfg.epochs, cfg.seed) == (1, 2, 3)
+        # An int is a valid float; omitted fields keep their defaults.
+        cfg = TrainConfig.from_dict({"learning_rate": 1, "epochs": 2, "seed": 3})
+        assert cfg == TrainConfig(learning_rate=1.0, epochs=2, seed=3)
+        assert TrainConfig.from_dict({}) == TrainConfig()
         for doc, named in [({"seed": 1.0}, "seed"), ({"eps": None}, "eps"), ([], "JSON object"),
                            ({"epochs": -1}, "epochs"), ({"eps": 0}, "eps"),
                            ({"weight_decay": -0.5}, "weight_decay")]:
             with pytest.raises(ValueError, match=named):
                 TrainConfig.from_dict(doc)
-
-    def test_full_scale_preset(self):
-        cfg = full_scale_config(seed=3)
-        assert cfg.learning_rate == 2e-5
-        assert cfg.batch_size == 32 and cfg.epochs == 5 and cfg.seed == 3
 
 
 class TestTrainLoop:
