@@ -115,9 +115,10 @@ def _run_setup(args):
     return [bank for _, bank in banks], cfg, upper
 
 
-def _add_train_flags(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="run seed; all streams derive from it (default 0)")
+def _add_train_flags(parser, seed=True):
+    if seed:
+        parser.add_argument("--seed", type=int, default=None,
+                            help="run seed; all streams derive from it (default 0)")
     parser.add_argument("--train-config", default=None,
                         help="JSON file with train config fields; flags override it")
     parser.add_argument("--epochs", type=int, default=None)
@@ -224,11 +225,8 @@ def _cmd_ablate(args):
     columns = ["variant", "seed", *(f.name for f in fields(SweepRow)[2:])]
     table, means = [], {}
     for variant in VARIANTS:
-        rows = [
-            sweep_row(source, target, args.lower, upper, variant, args.gate_mode,
-                      replace(cfg, seed=seed))
-            for seed in args.seeds
-        ]
+        rows = [sweep_row(source, target, args.lower, upper, variant, args.gate_mode, replace(cfg, seed=seed))
+                for seed in args.seeds]
         table += [(variant, seed, *astuple(row)[2:]) for seed, row in zip(args.seeds, rows)]
         means[variant] = sum(row.target_accuracy for row in rows) / len(rows)
     table += [(variant, "mean", None, None, means[variant], None) for variant in VARIANTS]
@@ -360,7 +358,8 @@ def build_parser():
     _add_train_flags(sub)
     sub.set_defaults(func=_cmd_sweep)
 
-    sub = commands.add_parser("ablate", help="compare full/global/local gate variants")
+    # Each row trains at one of --seeds: no --seed, and no abbreviation lets --seed mean --seeds.
+    sub = commands.add_parser("ablate", help="compare full/global/local gate variants", allow_abbrev=False)
     sub.add_argument("--src", required=True)
     sub.add_argument("--tgt", required=True)
     sub.add_argument("--lower", type=int, required=True)
@@ -369,8 +368,8 @@ def build_parser():
     sub.add_argument("--seeds", type=_parse_int_list, default=[0],
                      help="seeds to average over, e.g. '0..9'")
     sub.add_argument("--report", required=True)
-    _add_train_flags(sub)
-    sub.set_defaults(func=_cmd_ablate)
+    _add_train_flags(sub, seed=False)
+    sub.set_defaults(func=_cmd_ablate, seed=None)
 
     sub = commands.add_parser("cossim", help="cross-language cosine-similarity probe")
     sub.add_argument("--src", required=True)

@@ -122,9 +122,9 @@ class BaselineSystem:
         return {}
 
 
-# Values per row chunk of the eval path: each float64 intermediate of one
-# chunk's forward holds at most this many (8 MB), unless one row holds more.
-EVAL_CHUNK_VALUES = 2**20
+# Values per eval chunk. A chunk's graph sets the eval peak, so each float64
+# intermediate holds at most this many (1 MiB), unless one row holds more.
+EVAL_CHUNK_VALUES = 2**17
 
 
 def eval_chunks(system, bank, rows):

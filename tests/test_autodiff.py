@@ -550,19 +550,26 @@ def _eps_objective():
     return loss_fn, gate.parameters()
 
 
-# Correct gradients that fail at step 1e-5: a relu input within a step of zero
-# (seed 632's lies 1.6e-5 from it), and a variance near eps.
+def _gradcheck_objective(seed, variant):
+    """The objective ``gradcheck --seed <seed>`` checks for ``variant``, at its default shape."""
+    return lambda: classification_pipeline(seed, shape=(4, 8, 32), classes=3, variant=variant)
+
+
+# Correct gradients that fail at step 1e-5, each with the parameter that
+# fails: a relu input within a step of zero (seed 632's lies 1.6e-5 from it),
+# and a variance near eps.
 _STEP_TOO_LARGE = {
-    "relu kink": lambda: classification_pipeline(632, shape=(4, 8, 32), classes=3, variant="local"),
-    "relu kink, seed 1904": lambda: classification_pipeline(1904, shape=(4, 8, 32), classes=3, variant="local"),
-    "variance near eps": _eps_objective,
+    "relu kink": (_gradcheck_objective(632, "local"), "global.conv1.kernel"),
+    "relu kink, seed 1904": (_gradcheck_objective(1904, "local"), "global.conv1.kernel"),
+    "relu kink, seed 2105": (_gradcheck_objective(2105, "full"), "local.conv1.kernel"),
+    "variance near eps": (_eps_objective, "global.conv1.kernel"),
 }
 
 
 @pytest.mark.parametrize("case", _STEP_TOO_LARGE)
 def test_failed_parameter_is_reprobed_at_a_tenth_of_the_step(case):
-    loss_fn, params = _STEP_TOO_LARGE[case]()
-    name = "global.conv1.kernel"
+    objective, name = _STEP_TOO_LARGE[case]
+    loss_fn, params = objective()
     report = finite_difference_check(loss_fn, {name: params[name]}, step=1e-5, rtol=1e-4)
     (check,) = report.parameters
     assert not report.passed  # the verdict stays that of the step given

@@ -550,6 +550,19 @@ def test_negative_seed_is_named(workspace, tmp_path, monkeypatch, capsys, comman
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", ["-1", "0", "4"])
+def test_ablate_refuses_seed(workspace, tmp_path, monkeypatch, capsys, seed):
+    # Each row trains at one of --seeds, so a --seed would go unread; nor may
+    # argparse take it as an abbreviation of --seeds.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ablate", "--src", str(workspace / "src.bank"), "--tgt", str(workspace / "tgt.bank"),
+              "--lower", "1", "--report", "out", "--seed", seed])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: --seed {seed}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ablate_full_row_equals_sweep_row(workspace, tmp_path):
     banks = ["--src", str(workspace / "src.bank"), "--tgt", str(workspace / "tgt.bank")]
     rc = main(["ablate", *banks, "--lower", "2", "--seeds", "4", "--epochs", "2",

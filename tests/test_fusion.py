@@ -1,5 +1,7 @@
 """Two-layer fusion algebra and the fusion-system plumbing."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -269,6 +271,30 @@ class TestEvalChunks:
         size = max(1, values // self.ROW_VALUES)
         assert [len(chunk) for chunk in chunks] == [len(rows[i:i + size]) for i in range(0, len(rows), size)]
         assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+    @staticmethod
+    def _default_chunk_rows(shape, rows):
+        """The row count of each chunk ``eval_chunks`` makes of ``rows`` of a ``shape`` bank, by default."""
+        class Rows:  # a system whose eval output is the rows it is given
+            def fused_batch(self, bank, rows, training=False):
+                return Tensor(rows)
+
+        return [len(chunk) for chunk in eval_chunks(Rows(), SimpleNamespace(shape=shape), rows)]
+
+    # A row of more than 2**16 values, as at the encoder shape (128, 768), is
+    # evaluated alone; a row of exactly 2**16 values shares its chunk.
+    @pytest.mark.parametrize("tokens, channels, chunks", [
+        (128, 768, [1] * 5), (257, 256, [1] * 5), (256, 256, [2, 2, 1]),
+    ])
+    def test_a_row_over_2_16_values_is_one_chunk(self, tokens, channels, chunks):
+        assert self._default_chunk_rows((5, tokens, channels), np.arange(5)) == chunks
+
+    def test_the_desk_test_split_is_one_chunk(self):
+        spec = SyntheticTaskSpec()
+        assert (spec.test_sentences, spec.tokens, spec.channels) == (200, 8, 32)
+        shape = (spec.train_sentences + spec.test_sentences, spec.tokens, spec.channels)
+        test = np.arange(spec.train_sentences, shape[0])
+        assert self._default_chunk_rows(shape, test) == [200]
 
     @staticmethod
     def _eval_outputs(system, bank, bank_path, params, out):
