@@ -36,6 +36,8 @@ from .fusion import (
     build_system,
     fuse_layers,
     init_head,
+    stored_values,
+    trainable,
 )
 from .gate import (
     GATE_MODES,

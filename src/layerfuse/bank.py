@@ -9,6 +9,7 @@ load.  Writers go through a temp file plus atomic rename.
 
 import itertools
 import json
+import math
 import mmap
 import os
 import struct
@@ -256,12 +257,16 @@ def read_bank(path):
         raise DataError(f"{path}: {err}") from err
 
 
+def _number(v):
+    """Whether a decoded JSON value is a finite number; ``NaN``, ``Infinity``, ``1e999`` and ``true`` are not."""
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
 # Dataclass field type -> (check of a decoded JSON value, what the value must be).
-# A decoded bool has type bool, so it is never taken for a number.
 _JSON_TYPES = {
     int: (lambda v: type(v) is int, "an integer"),
-    float: (lambda v: type(v) in (int, float), "a number"),
-    tuple: (lambda v: type(v) is list and all(type(x) in (int, float) for x in v), "a list of numbers"),
+    float: (_number, "a number"),
+    tuple: (lambda v: type(v) is list and all(map(_number, v)), "a list of numbers"),
 }
 
 

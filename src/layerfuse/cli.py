@@ -103,10 +103,16 @@ def _load_json(path, build):
 def _run_setup(args):
     """The banks a training command reads (``--src``, then ``--tgt`` if given),
     its train config and its upper layer, each bank checked to fit the run."""
+    def train_config(doc):
+        cfg = TrainConfig.from_dict(doc)
+        if args.command == "ablate" and "seed" in doc:
+            raise ValueError("train config field seed is not read by ablate: each row trains at one of --seeds")
+        return cfg
+
     banks = [(path, read_bank(path)) for path in (args.src, args.tgt) if path]
     # Precedence: defaults < --train-config JSON < explicit flags, each applied
     # through the same validation.
-    cfg = _load_json(args.train_config, TrainConfig.from_dict) if args.train_config else TrainConfig()
+    cfg = _load_json(args.train_config, train_config) if args.train_config else TrainConfig()
     flags = ("seed", "epochs", "batch_size", "learning_rate", "weight_decay")
     cfg = replace(cfg, **{name: getattr(args, name) for name in flags if getattr(args, name) is not None})
     source = banks[0][1]

@@ -92,9 +92,6 @@ class FusionSystem:
         l2 = Tensor(bank.layer(self.pair.upper)[rows])
         return self.forward(l1, l2, training)[0]
 
-    def parameters(self):
-        return self.params.parameters()
-
 
 @dataclass
 class BaselineSystem:
@@ -117,9 +114,6 @@ class BaselineSystem:
 
     def fused_batch(self, bank, rows, training=False):
         return Tensor(bank.layer(self.upper)[rows])
-
-    def parameters(self):
-        return {}
 
 
 # Values per eval chunk. A chunk's graph sets the eval peak, so each float64
@@ -159,6 +153,11 @@ def stored_values(system, head):
         yield f"gate.{name}", owner, attribute
     yield "head.weight", head, "weight"
     yield "head.bias", head, "bias"
+
+
+def trainable(walk):
+    """The tensors of a stored-value walk, by dotted name: the values ``train`` moves and ``gradcheck`` checks."""
+    return {name: getattr(o, a) for name, o, a in walk if isinstance(getattr(o, a), Tensor)}
 
 
 def stored_template(get):
@@ -217,9 +216,6 @@ class ClassifierHead:
 
     def logits(self, features):
         return conv1x1(features, self.weight, self.bias)
-
-    def parameters(self):
-        return {"head.weight": self.weight, "head.bias": self.bias}
 
 
 def init_head(channels, classes, seed=0):

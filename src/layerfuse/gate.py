@@ -91,10 +91,6 @@ class GateParams:
             for name, owner, attribute in branch.state():
                 yield f"{prefix}.{name}", owner, attribute
 
-    def parameters(self):
-        """The trainable tensors of ``state``."""
-        return {name: getattr(o, a) for name, o, a in self.state() if isinstance(getattr(o, a), Tensor)}
-
 
 def gate_template(channels, reduction):
     """Gate parameters of zero kernels and biases and fresh norms, for a draw or a load to fill.

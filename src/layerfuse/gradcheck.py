@@ -4,8 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import fuse_layers, init_head
-from .gate import init_gate_params
+from .fusion import build_system, init_head, stored_values, trainable
 from .seeding import STREAM_CHECK, rng_stream
 from .tensor import Tensor, _topological_order, backward
 from .training import sentence_loss
@@ -134,8 +133,9 @@ def finite_difference_check(loss_fn, params, step=1e-5, rtol=1e-4):
     of about 100x or more marks a step too large for the curvature there, not
     a wrong gradient, whose error stays put.
     """
-    if step <= 0 or rtol <= 0:
-        raise ValueError("step and rtol must be positive")
+    for name, value in (("step", step), ("rtol", rtol)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be a finite positive number, got {value:g}")
     loss = loss_fn()
     if not np.isfinite(loss.data).all():
         raise EvaluationError("non-finite objective at the unperturbed parameters, before any probe")
@@ -176,23 +176,27 @@ def classification_pipeline(
     """Build (loss_fn, params) for the fused-features classification objective.
 
     The objective is ``sentence_loss``, the one ``train`` minimizes, on two
-    random layers fused: mean-pool, linear head and softmax cross-entropy
-    against random labels.  Normalization runs in training form, so
-    gradients cross batch statistics.  With ``check_inputs`` the two layer
-    tensors join the checked parameters.
+    random layers fused by a ``build_system`` system: mean-pool, linear head
+    and softmax cross-entropy against random labels.  Normalization runs in
+    training form, so gradients cross batch statistics.  The checked
+    parameters are the ``trainable`` ones ``train`` moves, named as in a
+    params file; with ``check_inputs`` the two layer tensors join them.
     """
+    for name, size in zip(("batch", "tokens", "channels"), shape):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     rng = rng_stream(seed, STREAM_CHECK)
     batch, tokens, channels = shape
     l1 = Tensor(rng.normal(size=shape))
     l2 = Tensor(rng.normal(size=shape))
     labels = rng.integers(0, classes, size=batch)
-    gate = init_gate_params(channels, seed=seed)
+    system = build_system(1, 2, channels, variant, mode, seed)
     head = init_head(channels, classes, seed=seed)
 
     def loss_fn():
-        return sentence_loss(fuse_layers(l1, l2, gate, mode, variant, training=True)[0], head, labels)
+        return sentence_loss(system.forward(l1, l2, training=True)[0], head, labels)
 
-    params = {**gate.parameters(), **head.parameters()}
+    params = trainable(stored_values(system, head))
     if check_inputs:
         params["input.l1"] = l1
         params["input.l2"] = l2

@@ -54,7 +54,7 @@ class SyntheticTaskSpec:
             )
         if any(not 0.0 <= lam <= 1.0 for lam in self.invariance):
             raise TaskSpecError("every invariance value must lie in [0, 1]")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise TaskSpecError("noise_std must be non-negative")
         object.__setattr__(self, "invariance", tuple(float(x) for x in self.invariance))
 
@@ -81,13 +81,14 @@ def _random_orthogonal(rng, dim):
     return q * signs
 
 
+@np.errstate(over="ignore")  # only a huge noise_std overflows, and that layer is refused by name
 def generate_task(spec):
     """Build parallel (source, target) banks for the spec, deterministically.
 
     Both banks share labels, latents, and the per-layer shared map; only the
     language-specific map, its rotation, and the additive noise differ.
     Layers are float32, as a bank file stores them, so bank files round-trip
-    bit-exactly.
+    bit-exactly; a layer that float32 cannot hold raises TaskSpecError.
     """
     k, d = spec.num_classes, spec.latent_dim
     total = spec.train_sentences + spec.test_sentences
@@ -125,7 +126,11 @@ def generate_task(spec):
                     spec.seed, STREAM_TASK, _NOISE, lang_index, layer_index
                 ).normal(size=(total, spec.tokens, spec.channels))
                 features = features + spec.noise_std * noise
-            layers.append(features.astype(np.float32))
+            layer = features.astype(np.float32)
+            if not np.isfinite(layer).all():
+                raise TaskSpecError(f"layer {layer_index + 1} of the {language!r} bank overflows float32 "
+                                    f"(noise_std {spec.noise_std:g})")
+            layers.append(layer)
         banks.append(
             LayerBank(
                 layers=layers,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import DataError, check_document, check_fit
-from .fusion import build_system, init_head, sentence_embeddings, stored_values
+from .fusion import build_system, init_head, sentence_embeddings, stored_values, trainable
 from .seeding import STREAM_BATCHES, rng_stream
 from .tensor import DegenerateBatchError, DimensionError, Tensor, _node, backward, mean_pool_tokens
 
@@ -169,7 +169,7 @@ def train(system, head, bank, cfg):
         raise DataError(
             f"bank has {train_rows.size} sentences in the train split; training needs at least 2"
         )
-    params = {**system.parameters(), **head.parameters()}
+    params = trainable(stored_values(system, head))
     optimizer = AdamW(params, cfg)
     named = {name: getattr(owner, attribute) for name, owner, attribute in stored_values(system, head)}
     # batch_norm updates the running statistics in place, so these stay

@@ -1,5 +1,6 @@
 """Reverse-mode gradients and the finite-difference oracle."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from layerfuse import (
     backward,
     batch_norm,
     broadcast_add,
+    build_system,
     conv1x1,
     elementwise_mul,
     fuse_layers,
@@ -24,11 +26,13 @@ from layerfuse import (
     mean_pool_tokens,
     parameter,
     relu,
+    save_params,
     scale,
     shift,
     sigmoid,
     softmax_cross_entropy,
     sub,
+    trainable,
 )
 from layerfuse.gradcheck import (
     EvaluationError,
@@ -443,7 +447,8 @@ def test_gate_with_reduction_above_channels_matches_finite_differences(
 
     kink, spread = _gate_margins(loss_fn)
     assume(kink > 1e-2 and spread > 1e-3)
-    _op_check(loss_fn, {**gate.parameters(), **head.parameters(), "input.l1": l1, "input.l2": l2})
+    _op_check(loss_fn, {**trainable(gate.state()), "head.weight": head.weight, "head.bias": head.bias,
+               "input.l1": l1, "input.l2": l2})
 
 
 def test_full_pipeline_seed_17():
@@ -547,7 +552,7 @@ def _eps_objective():
         fused, _ = fuse_layers(l1, l2, gate, "sigmoid", "global", training=True)
         return softmax_cross_entropy(head.logits(mean_pool_tokens(fused)), labels)
 
-    return loss_fn, gate.parameters()
+    return loss_fn, trainable(gate.state())
 
 
 def _gradcheck_objective(seed, variant):
@@ -559,9 +564,9 @@ def _gradcheck_objective(seed, variant):
 # fails: a relu input within a step of zero (seed 632's lies 1.6e-5 from it),
 # and a variance near eps.
 _STEP_TOO_LARGE = {
-    "relu kink": (_gradcheck_objective(632, "local"), "global.conv1.kernel"),
-    "relu kink, seed 1904": (_gradcheck_objective(1904, "local"), "global.conv1.kernel"),
-    "relu kink, seed 2105": (_gradcheck_objective(2105, "full"), "local.conv1.kernel"),
+    "relu kink": (_gradcheck_objective(632, "local"), "gate.global.conv1.kernel"),
+    "relu kink, seed 1904": (_gradcheck_objective(1904, "local"), "gate.global.conv1.kernel"),
+    "relu kink, seed 2105": (_gradcheck_objective(2105, "full"), "gate.local.conv1.kernel"),
     "variance near eps": (_eps_objective, "global.conv1.kernel"),
 }
 
@@ -604,6 +609,30 @@ def test_report_table_format():
     assert "re-probe" not in table
 
 
+def _leaves(node, prefix=""):
+    """(dotted name, value) of every leaf of a decoded params document."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+@pytest.mark.parametrize("variant, mode", [("full", "sigmoid"), ("full", "literal"),
+                                           ("global", "sigmoid"), ("local", "sigmoid")])
+def test_gradcheck_checks_the_tensors_a_params_file_stores(tmp_path, variant, mode):
+    # gradcheck's four cases: each checked name is a trained value's path in the
+    # params file of the same system, and every other array there is a running statistic.
+    _, params = classification_pipeline(17, shape=(4, 8, 32), classes=3, variant=variant, mode=mode)
+    path = tmp_path / "params.json"
+    save_params(build_system(1, 2, 32, variant, mode, 17), init_head(32, 3, seed=17), path)
+    arrays = {name: value for name, value in _leaves(json.loads(path.read_text()))
+              if isinstance(value, list)}
+    assert set(params) == {name for name in arrays if not name.endswith(("running_mean", "running_var"))}
+    for name, tensor in params.items():
+        assert np.array(arrays[name]).tobytes() == tensor.data.tobytes(), name
+
+
 def _fused_objective(shape, variant, mode, training, seed):
     """classification_pipeline's objective, with normalization in either form.
 
@@ -621,7 +650,7 @@ def _fused_objective(shape, variant, mode, training, seed):
     fused, _ = fuse_layers(l1, l2, gate, mode, variant, training=training)
     logits = head.logits(mean_pool_tokens(fused))
     loss = softmax_cross_entropy(logits, rng.integers(0, 3, size=shape[0]))
-    return loss, {**gate.parameters(), **head.parameters()}, (l1, l2, fused)
+    return loss, {**trainable(gate.state()), "head.weight": head.weight, "head.bias": head.bias}, (l1, l2, fused)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -863,7 +863,7 @@ def _json_oracle(system, head):
     """The v1 parameter document rendered by ``json`` itself, arrays as lists."""
     doc = {"format": "layerfuse-params", "version": 1, "system": system.describe(), "gate": None}
     gate = [(f"gate.{n}", getattr(o, a)) for n, o, a in system.state()]
-    for dotted, value in [*gate, *head.parameters().items()]:
+    for dotted, value in [*gate, ("head.weight", head.weight), ("head.bias", head.bias)]:
         *parents, leaf = dotted.split(".")
         node = doc
         for key in parents:
@@ -904,7 +904,7 @@ def test_params_writer_matches_json_oracle(tmp_path_factory, width, variant, mod
     else:
         system = build_fusion_system(LayerPair(1, 2), width, variant=variant, mode=mode, seed=0)
     head = init_head(width, 3, seed=0)
-    state = [*(getattr(o, a) for _, o, a in system.state()), *head.parameters().values()]
+    state = [*(getattr(o, a) for _, o, a in system.state()), head.weight, head.bias]
     for value in state:
         array = value.data if isinstance(value, Tensor) else value
         if isinstance(array, np.ndarray):

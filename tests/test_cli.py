@@ -197,10 +197,15 @@ def test_train_flags_validated(workspace, tmp_path, capsys, flag, value, field):
     ("gen-task", {"invariance": [0.5, "x"]}, "task spec field invariance must be a list of numbers"),
     ("gen-task", [1, 2], "task spec must be a JSON object"),
     ("train", {"eps": 0}, "eps must be positive"),
+    ("train", {"eps": float("inf")}, "train config field eps must be a number, got inf"),
+    ("gen-task", {"noise_std": float("nan")}, "task spec field noise_std must be a number, got nan"),
+    # Written as given: JSON's 1e999 decodes as an infinite float.
+    ("train", '{"learning_rate": 1e999}', "train config field learning_rate must be a number, got inf"),
+    ("gen-task", '{"noise_std": 1e999}', "task spec field noise_std must be a number, got inf"),
 ])
 def test_malformed_config_file_named(workspace, tmp_path, capsys, command, document, named):
     doc_path = tmp_path / "doc.json"
-    doc_path.write_text(json.dumps(document))
+    doc_path.write_text(document if isinstance(document, str) else json.dumps(document))
     if command == "train":
         outputs = [tmp_path / "p.json"]
         argv = ["train", "--src", str(workspace / "src.bank"), "--lower", "1",
@@ -213,6 +218,14 @@ def test_malformed_config_file_named(workspace, tmp_path, capsys, command, docum
     err = capsys.readouterr().err
     assert err.startswith(f"error: {doc_path}: {named}")
     assert not any(path.exists() for path in outputs)
+
+
+def test_gen_task_refuses_a_layer_float32_cannot_hold(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps({"noise_std": 1e308}))
+    assert main(["gen-task", "--spec", "spec.json", "--out-src", "s.bank", "--out-tgt", "t.bank"]) == 1
+    assert capsys.readouterr() == ("", "error: layer 1 of the 'src' bank overflows float32 (noise_std 1e+308)\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["spec.json"]
 
 
 def test_train_baseline(workspace, tmp_path):
@@ -271,6 +284,26 @@ def test_gradcheck_failure_exits_nonzero(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "parameter" in out
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rtol", "inf", "rtol must be a finite positive number, got inf"),
+    ("--rtol", "nan", "rtol must be a finite positive number, got nan"),
+    ("--rtol", "0", "rtol must be a finite positive number, got 0"),
+    ("--rtol", "-1", "rtol must be a finite positive number, got -1"),
+    ("--eps", "nan", "step must be a finite positive number, got nan"),
+    ("--eps", "inf", "step must be a finite positive number, got inf"),
+    ("--batch", "0", "batch must be at least 1, got 0"),
+    ("--tokens", "0", "tokens must be at least 1, got 0"),
+    ("--channels", "0", "channels must be at least 1, got 0"),
+])
+def test_gradcheck_refuses_an_argument_that_cannot_judge(tmp_path, monkeypatch, capsys, flag, value, message):
+    # An infinite rtol passes every check and a NaN one fails every check;
+    # a non-finite step or an empty shape leaves no finite objective.
+    monkeypatch.chdir(tmp_path)
+    assert main(["gradcheck", flag, value]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_errors_exit_two(workspace):
@@ -561,6 +594,18 @@ def test_ablate_refuses_seed(workspace, tmp_path, monkeypatch, capsys, seed):
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: --seed {seed}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_ablate_refuses_a_train_config_seed(workspace, tmp_path, monkeypatch, capsys):
+    # Each row trains at one of --seeds, so a seed in the file would be recorded and never used.
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"seed": 5, "epochs": 1}))
+    rc = main(["ablate", "--src", str(workspace / "src.bank"), "--tgt", str(workspace / "tgt.bank"),
+               "--lower", "1", "--train-config", "cfg.json", "--report", "out.csv"])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: cfg.json: train config field seed is not read by ablate: each row trains at one of --seeds\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_ablate_full_row_equals_sweep_row(workspace, tmp_path):

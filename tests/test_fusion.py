@@ -25,6 +25,7 @@ from layerfuse import (
     init_head,
     save_params,
     sentence_embeddings,
+    trainable,
     write_bank,
 )
 from layerfuse import fusion
@@ -114,7 +115,7 @@ class TestFusionAlgebra:
             params = init_gate_params(8, 4, "kaiming", seed=7)
             fused, _ = fuse_layers(Tensor(x.copy()), Tensor(x.copy()), params, mode=mode)
             backward(tensor_sum(elementwise_mul(fused, weights)))
-            for name, tensor in params.parameters().items():
+            for name, tensor in trainable(params.state()).items():
                 assert np.all(tensor.grad == 0.0), f"{mode} {name} gradient not exactly zero"
 
     def test_shape_preserved(self):
@@ -149,7 +150,7 @@ class TestFusionSystem:
     def test_same_seed_bit_identical_systems(self):
         a = build_fusion_system(LayerPair(2, 6), 8, seed=4)
         b = build_fusion_system(LayerPair(2, 6), 8, seed=4)
-        for (name_a, ta), (_, tb) in zip(a.parameters().items(), b.parameters().items()):
+        for (name_a, ta), (_, tb) in zip(trainable(a.state()).items(), trainable(b.state()).items()):
             npt.assert_array_equal(ta.data, tb.data, err_msg=name_a)
 
     def test_global_variant_token_constant_gate(self):

@@ -14,6 +14,7 @@ from layerfuse import (
     init_gate_params,
     inner_width,
     local_branch_forward,
+    trainable,
 )
 from layerfuse.gradcheck import finite_difference_check
 from tensor_helpers import tensor_sum
@@ -34,7 +35,7 @@ class TestInit:
     def test_same_seed_bit_identical(self):
         a = init_gate_params(16, 4, "kaiming", seed=9)
         b = init_gate_params(16, 4, "kaiming", seed=9)
-        for (name_a, ta), (name_b, tb) in zip(a.parameters().items(), b.parameters().items()):
+        for (name_a, ta), (name_b, tb) in zip(trainable(a.state()).items(), trainable(b.state()).items()):
             assert name_a == name_b
             npt.assert_array_equal(ta.data, tb.data)
 
@@ -158,7 +159,7 @@ class TestGateForward:
             out = gate_forward(x, params, mode="literal")
             return tensor_sum(elementwise_mul(out, weights))
 
-        report = finite_difference_check(loss_fn, params.parameters(), rtol=1e-4)
+        report = finite_difference_check(loss_fn, trainable(params.state()), rtol=1e-4)
         assert report.passed, report.format_table()
 
 

@@ -96,6 +96,8 @@ def test_spec_validation_errors():
     with pytest.raises(TaskSpecError):
         SyntheticTaskSpec(noise_std=-0.1)
     with pytest.raises(TaskSpecError):
+        SyntheticTaskSpec(noise_std=float("nan"))
+    with pytest.raises(TaskSpecError):
         SyntheticTaskSpec.from_dict({"num_classes": 4, "bogus": 1})
 
 
@@ -106,6 +108,9 @@ def test_spec_validation_errors():
     ({"invariance": "0.5"}, "field invariance must be a list of numbers"),
     ({"invariance": [0.5, None, 0.9, 0.6, 0.3, 0.1]}, "field invariance must be a list"),
     ([["tokens", 8]], "task spec must be a JSON object"),
+    ({"noise_std": float("nan")}, "field noise_std must be a number, got nan"),
+    ({"noise_std": float("inf")}, "field noise_std must be a number, got inf"),
+    ({"invariance": [0.5, 0.7, 0.9, 0.6, 0.3, float("-inf")]}, "field invariance must be a list of numbers"),
 ])
 def test_spec_from_dict_json_types(doc, named):
     with pytest.raises(TaskSpecError, match=named):

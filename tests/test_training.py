@@ -28,7 +28,9 @@ from layerfuse import (
     parameter,
     save_params,
     softmax_cross_entropy,
+    stored_values,
     train,
+    trainable,
 )
 from layerfuse import training
 from layerfuse.gradcheck import classification_pipeline
@@ -144,7 +146,7 @@ class TestAdamW:
 
     def test_parameters_are_views_of_one_buffer(self):
         system = build_fusion_system(LayerPair(1, 2), 8, seed=0)
-        params = {**system.parameters(), **init_head(8, 3, seed=0).parameters()}
+        params = trainable(stored_values(system, init_head(8, 3, seed=0)))
         before = {name: p.data.copy() for name, p in params.items()}
         optimizer = AdamW(params, TrainConfig())
         assert optimizer.flat.size == sum(p.data.size for p in params.values())
@@ -177,10 +179,10 @@ class TestTrainLoop:
         source, _ = small_banks
         system = build_fusion_system(LayerPair(1, 3), 8, seed=1)
         head = init_head(8, source.num_classes, seed=1)
-        before = {n: t.data.copy() for n, t in {**system.parameters(), **head.parameters()}.items()}
+        before = {n: t.data.copy() for n, t in trainable(stored_values(system, head)).items()}
         curve = train(system, head, source, TrainConfig(epochs=0, seed=1))
         assert curve == []
-        for name, tensor in {**system.parameters(), **head.parameters()}.items():
+        for name, tensor in trainable(stored_values(system, head)).items():
             npt.assert_array_equal(tensor.data, before[name])
 
     def test_null_update_keeps_loss(self, small_banks):
