@@ -55,12 +55,6 @@ _MANIFEST_FIELDS = {
 }
 
 
-def _refusal(entries, entry, valid, expected):
-    """Why the first of ``entries`` that ``valid`` refuses is refused, or None."""
-    return next((f"{entry} {index} is {value!r}, expected {expected}"
-                 for index, value in enumerate(entries) if not valid(value)), None)
-
-
 @dataclass(eq=False)
 class LayerBank:
     """Per-layer token embeddings plus a per-sentence manifest.
@@ -98,7 +92,8 @@ class LayerBank:
             elif len(values) != sentences:
                 refusal = f"manifest field {name} has {len(values)} entries for {sentences} sentences"
             else:
-                refusal = _refusal(entries, entry, valid, expected)
+                refusal = next((f"{entry} {index} is {value!r}, expected {expected}"
+                                for index, value in enumerate(entries) if not valid(value)), None)
             if refusal:
                 raise DataError(f"{refusal} (LayerBank {attribute})")
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -188,6 +183,9 @@ def read_bank(path):
     heap, and its layers are float32 views into that map, as stored.  A
     dropped bank goes back to the system, so the memory a process, or a sweep
     worker forked from it, keeps resident does not hang on the heap's layout.
+
+    ``LayerBank`` judges the manifest's lists, as it judges an in-memory
+    bank's, and its refusal is re-raised as a ``DataError`` naming the file.
     """
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
@@ -234,15 +232,15 @@ def read_bank(path):
         raise BankFormatError(f"{path}: manifest is not valid JSON ({err})") from err
     if not isinstance(manifest, dict):
         raise BankFormatError(f"{path}: manifest is not a JSON object")
-    for key, (_, entry, valid, expected, _) in _MANIFEST_FIELDS.items():
-        if key not in manifest:
-            raise BankFormatError(f"{path}: manifest missing field {key!r}")
-        if not isinstance(manifest[key], list):
-            raise BankFormatError(f"{path}: manifest {key} must be a list")
-        refusal = _refusal(manifest[key], entry, valid, expected)
-        if refusal:
-            raise BankFormatError(f"{path}: {refusal}")
+    try:
+        lists = {attribute: manifest[key] for key, (attribute, *_) in _MANIFEST_FIELDS.items()}
+    except KeyError as err:
+        raise BankFormatError(f"{path}: manifest missing field {err.args[0]!r}") from None
     arr = values.reshape(n_layers, sentences, tokens, channels)
+    try:
+        bank = LayerBank(list(arr), **lists)
+    except DataError as err:
+        raise DataError(f"{path}: {err}") from err
     finite = np.isfinite(arr)
     if not finite.all():
         layer, b, t, e = np.argwhere(~finite)[0]
@@ -250,11 +248,7 @@ def read_bank(path):
             f"{path}: non-finite value at layer {layer + 1}, sentence {b}, "
             f"token {t}, channel {e}"
         )
-    try:
-        lists = {attribute: manifest[key] for key, (attribute, *_) in _MANIFEST_FIELDS.items()}
-        return LayerBank(list(arr), **lists)
-    except DataError as err:
-        raise DataError(f"{path}: {err}") from err
+    return bank
 
 
 def _number(v):

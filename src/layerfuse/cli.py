@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import REPORT_FORMATS, avg_cross_lingual_similarity, emit_report, render_csv
-from .bank import check_fit, load_params, read_bank, save_params, write_bank
+from .bank import DataError, check_fit, load_params, read_bank, save_params, write_bank
 from .fusion import build_system, eval_chunks, init_head
 from .gate import GATE_MODES, VARIANTS
 from .gradcheck import classification_pipeline, finite_difference_check
@@ -102,7 +102,8 @@ def _load_json(path, build):
 
 def _run_setup(args):
     """The banks a training command reads (``--src``, then ``--tgt`` if given),
-    its train config and its upper layer, each bank checked to fit the run."""
+    its train config and its upper layer, each bank checked to fit the run and
+    the source to have a label above 0, since the head needs two classes."""
     def train_config(doc):
         cfg = TrainConfig.from_dict(doc)
         if args.command == "ablate" and "seed" in doc:
@@ -116,6 +117,8 @@ def _run_setup(args):
     flags = ("seed", "epochs", "batch_size", "learning_rate", "weight_decay")
     cfg = replace(cfg, **{name: getattr(args, name) for name in flags if getattr(args, name) is not None})
     source = banks[0][1]
+    if source.num_classes < 2:
+        raise DataError(f"{args.src}: every label is 0, and a classifier needs at least two classes")
     upper = args.upper if args.upper is not None else source.n_layers
     check_fit(banks, upper, source.shape[2], "test")
     return [bank for _, bank in banks], cfg, upper

@@ -29,8 +29,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise ValueError("learning_rate must be non-negative")
+        if not 0 <= self.learning_rate < float("inf"):
+            raise ValueError(f"learning_rate must be a finite non-negative number, got {self.learning_rate!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
@@ -39,8 +39,8 @@ class TrainConfig:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be non-negative")
+        if not 0 <= self.weight_decay < float("inf"):
+            raise ValueError(f"weight_decay must be a finite non-negative number, got {self.weight_decay!r}")
 
     @classmethod
     def from_dict(cls, doc):

@@ -516,6 +516,23 @@ def test_every_bank_that_constructs_round_trips(tmp_path_factory, labels, langua
     assert loaded.splits == list(splits)
 
 
+# Two sentences: labels [0, 1], languages ["a", "b"], splits ["t", "t"], one field replaced.
+_BAD_MANIFESTS = [
+    ("labels", [0, 1.7], "label 1 is 1.7, expected an integer in [0, 2**63) (LayerBank labels)"),
+    ("labels", np.array([0.0, 1.0]), "label 0 is 0.0, expected an integer in [0, 2**63)"),
+    ("labels", [0, True], "label 1 is True, expected an integer in [0, 2**63)"),
+    ("labels", np.array([True, False]), "label 0 is True, expected an integer"),
+    ("labels", np.array([0, -1]), "label 1 is -1, expected an integer"),
+    ("labels", np.array([0, 2**63], np.uint64), "label 1 is 9223372036854775808, expected an integer"),
+    ("labels", np.array([[0], [1]]), "label 0 is [0], expected an integer"),
+    ("languages", "ab", "manifest field language must be a list, got str (LayerBank languages)"),
+    ("languages", np.array(["a", "b"]), "manifest field language must be a list, got ndarray"),
+    ("languages", ["a", 1], "language 1 is 1, expected a string (LayerBank languages)"),
+    ("splits", ["t", 2.5], "split 1 is 2.5, expected a string (LayerBank splits)"),
+    ("splits", (None, "t"), "split 0 is None, expected a string (LayerBank splits)"),
+]
+
+
 def _raw_bank(n_layers=2, b=4, t=3, e=8, floats=None, manifest=None):
     count = n_layers * b * t * e if floats is None else floats
     header = struct.pack("<4sIIIII", MAGIC, 1, n_layers, b, t, e)
@@ -632,29 +649,45 @@ class TestBankValidation:
         ([0, 0, True, 0], "label 2 is True"),
         ([0, 0, 0, 2**63], "label 3 is 9223372036854775808"),
         ([0, -1, 0, 0], "label 1 is -1"),
-        ("0000", "manifest labels must be a list"),
+        ("0000", "manifest field labels must be a list, got str \\(LayerBank labels\\)"),
     ])
     def test_bad_labels_named(self, tmp_path, labels, named):
         path = tmp_path / "bad.bank"
         manifest = json.dumps({"labels": labels, "language": ["a"] * 4, "split": ["t"] * 4})
         path.write_bytes(_raw_bank(manifest=manifest.encode()))
-        with pytest.raises(BankFormatError, match=f"{re.escape(str(path))}: {named}"):
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: {named}"):
             read_bank(path)
 
     @pytest.mark.parametrize("field, values, named", [
-        ("language", "abcd", "manifest language must be a list"),
+        ("language", "abcd", "manifest field language must be a list, got str \\(LayerBank languages\\)"),
         ("language", ["a", "b", ["c"], "d"], "language 2 is \\['c'\\]"),
         ("language", ["a", 1, "b", "c"], "language 1 is 1"),
         ("split", [["x"], None, "t", "t"], "split 0 is \\['x'\\]"),
         ("split", ["t", "t", "t", None], "split 3 is None"),
-        ("split", {"t": 1, "u": 2, "v": 3, "w": 4}, "manifest split must be a list"),
+        ("split", {"t": 1, "u": 2, "v": 3, "w": 4}, "manifest field split must be a list, got dict \\(LayerBank splits\\)"),
     ])
     def test_bad_language_or_split_named(self, tmp_path, field, values, named):
         path = tmp_path / "bad.bank"
         manifest = {"labels": [0] * 4, "language": ["a"] * 4, "split": ["t"] * 4, field: values}
         path.write_bytes(_raw_bank(manifest=json.dumps(manifest).encode()))
-        with pytest.raises(BankFormatError, match=f"{re.escape(str(path))}: {named}"):
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: {named}"):
             read_bank(path)
+
+    # Every bad manifest of test_manifest_entries_named that a JSON file can carry.
+    @pytest.mark.parametrize("field, values", [
+        (field, values) for field, values, _ in _BAD_MANIFESTS if not isinstance(values, np.ndarray)
+    ])
+    def test_file_refused_as_layer_bank_refuses(self, tmp_path, field, values):
+        lists = json.loads(json.dumps({"labels": [0, 1], "languages": ["a", "b"], "splits": ["t", "t"],
+                                       field: values}))
+        with pytest.raises(DataError) as expected:
+            LayerBank(layers=[np.zeros((2, 1, 1), np.float32)], **lists)
+        path = tmp_path / "bad.bank"
+        manifest = {"labels": lists["labels"], "language": lists["languages"], "split": lists["splits"]}
+        path.write_bytes(_raw_bank(n_layers=1, b=2, t=1, e=1, manifest=json.dumps(manifest).encode()))
+        with pytest.raises(DataError) as refused:
+            read_bank(path)
+        assert str(refused.value) == f"{path}: {expected.value}"
 
     def test_largest_label_accepted(self, tmp_path):
         path = tmp_path / "big.bank"
@@ -691,21 +724,7 @@ class TestLayerBankValidation:
                 languages=["a"], splits=["t", "t"],
             )
 
-    # Two sentences: labels [0, 1], languages ["a", "b"], splits ["t", "t"], one field replaced.
-    @pytest.mark.parametrize("field, values, named", [
-        ("labels", [0, 1.7], "label 1 is 1.7, expected an integer in [0, 2**63) (LayerBank labels)"),
-        ("labels", np.array([0.0, 1.0]), "label 0 is 0.0, expected an integer in [0, 2**63)"),
-        ("labels", [0, True], "label 1 is True, expected an integer in [0, 2**63)"),
-        ("labels", np.array([True, False]), "label 0 is True, expected an integer"),
-        ("labels", np.array([0, -1]), "label 1 is -1, expected an integer"),
-        ("labels", np.array([0, 2**63], np.uint64), "label 1 is 9223372036854775808, expected an integer"),
-        ("labels", np.array([[0], [1]]), "label 0 is [0], expected an integer"),
-        ("languages", "ab", "manifest field language must be a list, got str (LayerBank languages)"),
-        ("languages", np.array(["a", "b"]), "manifest field language must be a list, got ndarray"),
-        ("languages", ["a", 1], "language 1 is 1, expected a string (LayerBank languages)"),
-        ("splits", ["t", 2.5], "split 1 is 2.5, expected a string (LayerBank splits)"),
-        ("splits", (None, "t"), "split 0 is None, expected a string (LayerBank splits)"),
-    ])
+    @pytest.mark.parametrize("field, values, named", _BAD_MANIFESTS)
     def test_manifest_entries_named(self, field, values, named):
         manifest = {"labels": [0, 1], "languages": ["a", "b"], "splits": ["t", "t"], field: values}
         with pytest.raises(DataError, match=f"^{re.escape(named)}"):

@@ -177,6 +177,8 @@ def test_train_config_unknown_field_rejected(workspace, tmp_path, capsys):
     ("--batch-size", "0", "batch_size"),
     ("--weight-decay", "-50", "weight_decay"),
     ("--weight-decay", "nan", "weight_decay"),
+    ("--learning-rate", "inf", "learning_rate"),
+    ("--weight-decay", "inf", "weight_decay"),
 ])
 def test_train_flags_validated(workspace, tmp_path, capsys, flag, value, field):
     params = tmp_path / "p.json"
@@ -186,6 +188,22 @@ def test_train_flags_validated(workspace, tmp_path, capsys, flag, value, field):
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert not params.exists()
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("train", ["--lower", "1", "--out", "p.json"]),
+    ("sweep", ["--report", "s.csv", "--json-report", "s.json"]),
+    ("ablate", ["--lower", "1", "--report", "a.csv"]),
+])
+def test_source_with_one_class_refused_by_path(workspace, tmp_path, monkeypatch, capsys, command, outputs):
+    bank = read_bank(workspace / "src.bank")
+    write_bank(LayerBank(bank.layers, [0] * len(bank.labels), bank.languages, bank.splits), tmp_path / "zero.bank")
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--src", "zero.bank", *(["--tgt", str(workspace / "tgt.bank")] * (command != "train")), *outputs]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: zero.bank: every label is 0, and a classifier needs at least two classes\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["zero.bank"]
 
 
 @pytest.mark.parametrize("command, document, named", [
@@ -635,8 +653,8 @@ def test_ablate_csv_bytes(monkeypatch, tmp_path, capsys):
                         0.1 * cfg.seed)
 
     # ablate checks that each bank fits before any row, so each path reads as a two-layer bank
-    # with a test sentence.
-    stub = LayerBank(layers=[np.zeros((1, 1, 1))] * 2, labels=[0], languages=["a"], splits=["test"])
+    # with a test sentence, labelled 1 so the source has two classes.
+    stub = LayerBank(layers=[np.zeros((1, 1, 1))] * 2, labels=[1], languages=["a"], splits=["test"])
     monkeypatch.setattr(cli, "read_bank", lambda path: stub)
     monkeypatch.setattr(cli, "sweep_row", fixed_row)
     report = tmp_path / "ablate.csv"
