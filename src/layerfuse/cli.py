@@ -2,13 +2,14 @@
 
 Each run writes a JSON run-manifest next to its primary output (override
 with --manifest) recording the resolved configuration, seeds, input/output
-checksums, and duration; re-running the recorded argv reproduces the outputs
-byte-identically.
+checksums, duration and peak memory; re-running the recorded argv reproduces
+the outputs byte-identically.
 """
 
 import argparse
 import hashlib
 import json
+import resource
 import sys
 import time
 from dataclasses import astuple, fields, replace
@@ -86,6 +87,8 @@ def _write_manifest(args, argv, config, inputs, outputs, started):
         "inputs": _path_entries([*inputs, getattr(args, "spec", None), getattr(args, "train_config", None)]),
         "outputs": _path_entries(outputs),
         "duration_seconds": round(time.monotonic() - started, 6),
+        # The process's lifetime peak: an in-process caller's own peak counts too.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "version": __version__,
     }
     target.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")

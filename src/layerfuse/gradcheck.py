@@ -139,7 +139,7 @@ def finite_difference_check(loss_fn, params, step=1e-5, rtol=1e-4):
     loss = loss_fn()
     if not np.isfinite(loss.data).all():
         raise EvaluationError("non-finite objective at the unperturbed parameters, before any probe")
-    size = max(1, PROBE_CHUNK_VALUES // max(node.data.size for node in _topological_order(loss)))
+    size = max(1, PROBE_CHUNK_VALUES // max(node.size for node in _topological_order(loss)))
     backward(loss, wrt=params.values())
     recorded = {
         name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())

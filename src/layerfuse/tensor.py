@@ -1,10 +1,18 @@
 """Rank-3 feature tensors with reverse-mode gradients.
 
 A feature map is a (batch, tokens, channels) float64 array.  Every operation
-returns a new graph node; ``backward`` replays the graph in reverse and
-leaves exact gradients on each node it visited, including the paths through
-the batch statistics of training-mode normalization.  Given ``wrt``, it
-computes only the gradients that lead to those tensors and keeps only theirs.
+returns a new tensor over a new graph node; ``backward`` replays the graph in
+reverse and leaves exact gradients on each node it visited, including the
+paths through the batch statistics of training-mode normalization.  Given
+``wrt``, it computes only the gradients that lead to those tensors and keeps
+only theirs.
+
+The graph keeps nodes, not data.  A node holds its gradient, its parents'
+nodes and its backward closure, and the closure holds only the arrays and
+token counts it reads, captured at forward time.  So an intermediate no
+backward reads is freed once its caller drops the tensor, and rebinding a
+parameter's ``.data`` between a forward and its backward does not reach that
+backward; an in-place edit of the array does.
 
 An op's forward also accepts leading axes in front of those three, on any
 operand (a kernel as (P, 1, C, I), a vector as (P, 1, 1, C)); it checks only
@@ -12,8 +20,9 @@ the trailing dims and broadcasts the rest, so one forward evaluates P
 variants of a graph, each slice bit for bit as its own rank-3 forward.
 ``backward`` and the closures take rank-3 graphs only.
 
-An op's backward closure only computes: it returns its parents' gradients,
-and ``backward`` alone stores them, copies a passed-through one and adds up
+An op's backward closure only computes: given one flag per parent that says
+whether its gradient is wanted, it returns its parents' gradients, and
+``backward`` alone stores them, copies a passed-through one and adds up
 the contributions a tensor receives along several paths.
 """
 
@@ -52,16 +61,37 @@ class DegenerateBatchError(ValueError):
     """Training-mode normalization was asked to use a single sample."""
 
 
-class Tensor:
-    """Float64 array plus the wiring for reverse-mode differentiation."""
+class _Node:
+    """A tensor's place in the graph: its gradient, its parents' nodes and its backward.
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    It holds no data; ``size`` counts the values of the data it was made over.
+    """
+
+    __slots__ = ("grad", "parents", "backward", "size")
+
+    def __init__(self, parents, backward, size):
+        self.grad = None
+        self.parents = parents
+        self.backward = backward
+        self.size = size
+
+
+class Tensor:
+    """Float64 array plus its node for reverse-mode differentiation."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self._parents = ()
-        self._backward = None
+        self.node = _Node((), None, self.data.size)
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.node.grad = value
 
     @property
     def shape(self):
@@ -77,34 +107,36 @@ def parameter(data):
 
 
 def _node(data, parents, backward):
-    """Graph node over ``data``; ``backward(g, wanted)`` returns its parents' gradients.
+    """Tensor over ``data`` linked to the nodes of ``parents``; ``backward(g, wanted)`` returns their gradients.
 
     The closure returns one gradient per parent, in ``parents`` order: the
-    incoming ``g`` itself or an array it has just made.  ``wanted`` holds the
-    ids of the nodes that need a gradient; the closure may skip the work for
-    a parent whose id is not there and return None in its place, and
-    ``backward`` stores nothing into such a parent either way.
+    incoming ``g`` itself or an array it has just made.  ``wanted`` holds one
+    flag per parent, in the same order; the closure may skip the work for a
+    parent whose flag is false and return None in its place, and ``backward``
+    stores nothing into such a parent either way.  The closure captures the
+    arrays and token counts it reads, never an operand tensor, so no other
+    data of the forward lives on in the graph.
 
     Every op passes a float64 ndarray it has just made, so ``Tensor``'s
     conversion is skipped.
     """
-    node = Tensor.__new__(Tensor)
-    node.data = data
-    node.grad = None
-    node._parents = parents
-    node._backward = backward
-    return node
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.node = _Node(tuple(p.node for p in parents), backward, data.size)
+    return out
 
 
 def _topological_order(root):
+    """The nodes tensor ``root`` reaches, its own included, each parent before its children."""
+    root = root.node
     order = []
     visited = {id(root)}
     stack = [(root, 0)]
     while stack:
         node, child = stack.pop()
-        if child < len(node._parents):
+        if child < len(node.parents):
             stack.append((node, child + 1))
-            parent = node._parents[child]
+            parent = node.parents[child]
             if id(parent) not in visited:
                 visited.add(id(parent))
                 stack.append((parent, 0))
@@ -118,8 +150,9 @@ def _send(node, wanted):
     # outlives the step.  No two share memory: a first gradient is stored as
     # returned, copied if it is ``g`` itself; a later one is added out of place.
     g = node.grad
-    for parent, grad in zip(node._parents, node._backward(g, wanted)):
-        if id(parent) not in wanted:
+    flags = [id(parent) in wanted for parent in node.parents]
+    for parent, flag, grad in zip(node.parents, flags, node.backward(g, flags)):
+        if not flag:
             continue
         if parent.grad is None:
             parent.grad = grad.copy() if grad is g else grad
@@ -128,7 +161,7 @@ def _send(node, wanted):
 
 
 def backward(loss, seed=1.0, wrt=None):
-    """Run reverse-mode accumulation from a scalar loss node.
+    """Run reverse-mode accumulation from a scalar loss tensor.
 
     Gradients of every node reachable from ``loss`` are reset first, so each
     call produces the gradients of exactly this computation.  A tensor used
@@ -148,18 +181,18 @@ def backward(loss, seed=1.0, wrt=None):
     for node in order:
         node.grad = None
     keep = set()
-    for node in order if wrt is None else wrt:
+    for node in order if wrt is None else (t.node for t in wrt):
         node.grad = None
         keep.add(id(node))
     # ``order`` lists parents before children, so one sweep marks every
     # node that a tensor of ``wrt`` reaches.
     wanted = set(keep)
     for node in order:
-        if any(id(parent) in wanted for parent in node._parents):
+        if any(id(parent) in wanted for parent in node.parents):
             wanted.add(id(node))
     loss.grad = np.full_like(loss.data, float(seed))
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+        if node.backward is not None and node.grad is not None:
             _send(node, wanted)
             if id(node) not in keep:
                 node.grad = None
@@ -174,9 +207,9 @@ def _require_rank3(op, *tensors):
             )
 
 
-def _sum_tokens_to(grad, t):
-    """``grad`` summed over tokens where ``t`` holds one token broadcast over them."""
-    return grad if t.data.shape[1] == grad.shape[1] else grad.sum(axis=1, keepdims=True)
+def _sum_tokens_to(grad, tokens):
+    """``grad`` for an operand of ``tokens`` tokens: summed over the token axis where it held one."""
+    return grad if tokens == grad.shape[1] else grad.sum(axis=1, keepdims=True)
 
 
 def broadcast_add(a, b):
@@ -189,8 +222,8 @@ def broadcast_add(a, b):
         )
 
     def _bw(g, wanted):
-        return (_sum_tokens_to(g, a) if id(a) in wanted else None,
-                _sum_tokens_to(g, b) if id(b) in wanted else None)
+        return (_sum_tokens_to(g, ta) if wanted[0] else None,
+                _sum_tokens_to(g, tb) if wanted[1] else None)
 
     return _node(a.data + b.data, (a, b), _bw)
 
@@ -205,11 +238,13 @@ def elementwise_mul(a, b):
             f"{b.data.shape}"
         )
 
-    def _bw(g, wanted):
-        return (g * b.data if id(a) in wanted else None,
-                _sum_tokens_to(g * a.data, b) if id(b) in wanted else None)
+    x, y = a.data, b.data
 
-    return _node(a.data * b.data, (a, b), _bw)
+    def _bw(g, wanted):
+        return (g * y if wanted[0] else None,
+                _sum_tokens_to(g * x, tb) if wanted[1] else None)
+
+    return _node(x * y, (a, b), _bw)
 
 
 def sub(a, b):
@@ -221,7 +256,7 @@ def sub(a, b):
         )
 
     def _bw(g, wanted):
-        return g, (-g if id(b) in wanted else None)
+        return g, (-g if wanted[1] else None)
 
     return _node(a.data - b.data, (a, b), _bw)
 
@@ -274,12 +309,14 @@ def conv1x1(w, kernel, bias):
             f"{kernel.data.shape[-2]}"
         )
 
-    def _bw(g, wanted):
-        return (g @ kernel.data.T if id(w) in wanted else None,
-                np.tensordot(w.data, g, axes=((0, 1), (0, 1))) if id(kernel) in wanted else None,
-                g.sum(axis=(0, 1)) if id(bias) in wanted else None)
+    x, k = w.data, kernel.data
 
-    return _node(w.data @ kernel.data + bias.data, (w, kernel, bias), _bw)
+    def _bw(g, wanted):
+        return (g @ k.T if wanted[0] else None,
+                np.tensordot(x, g, axes=((0, 1), (0, 1))) if wanted[1] else None,
+                g.sum(axis=(0, 1)) if wanted[2] else None)
+
+    return _node(x @ k + bias.data, (w, kernel, bias), _bw)
 
 
 def relu(t):
@@ -359,8 +396,7 @@ def batch_norm(w, state, training=False):
             f"batch_norm: input has {w.data.shape[-1]} channels but state has "
             f"{state.channels}"
         )
-    x = w.data
-    gamma, beta = state.gamma, state.beta
+    x, gamma = w.data, state.gamma.data
     if training:
         count = x.shape[-3] * x.shape[-2]
         if count == 1:
@@ -388,12 +424,12 @@ def batch_norm(w, state, training=False):
         # Both reductions also feed the input gradient of a training call.
         g_x_hat = np.add.reduce(g * x_hat, axis=(0, 1))
         g_sum = np.add.reduce(g, axis=(0, 1))
-        if id(w) not in wanted:
+        if not wanted[0]:
             gw = None
         elif training:
-            gw = gamma.data * inv_std * (g - g_sum / count - x_hat * (g_x_hat / count))
+            gw = gamma * inv_std * (g - g_sum / count - x_hat * (g_x_hat / count))
         else:
-            gw = g * (gamma.data * inv_std)
+            gw = g * (gamma * inv_std)
         return gw, g_x_hat, g_sum
 
-    return _node(gamma.data * x_hat + beta.data, (w, gamma, beta), _bw)
+    return _node(gamma * x_hat + state.beta.data, (w, state.gamma, state.beta), _bw)

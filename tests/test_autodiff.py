@@ -1,6 +1,9 @@
 """Reverse-mode gradients and the finite-difference oracle."""
 
+import gc
 import json
+import types
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -524,7 +527,7 @@ def test_each_op_closure_is_named_bw_inside_its_op():
     assert set(_OPS) == ops | {"softmax_cross_entropy"}
     x = parameter(RNG.normal(size=(2, 3, 4)))
     for name, build in _OPS.items():
-        assert build(x)._backward.__qualname__ == f"{name}.<locals>._bw"
+        assert build(x).node.backward.__qualname__ == f"{name}.<locals>._bw"
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -609,6 +612,32 @@ def test_report_table_format():
     assert "re-probe" not in table
 
 
+# Pipeline shape -> probes per loss_fn call: PROBE_CHUNK_VALUES (2**16) over
+# the first graph's largest node.  At (4, 16, 32) that is a feature map (2048 values);
+# at (2, 1, 64) a conv kernel (64 x 16 = 1024) outgrows the maps (128).
+_PROBE_CHUNKS = {(4, 16, 32): 32, (2, 1, 64): 64}
+
+
+@pytest.mark.parametrize("shape", _PROBE_CHUNKS)
+def test_probe_chunk_is_the_chunk_values_over_the_largest_node(shape):
+    chunk = _PROBE_CHUNKS[shape]
+    loss_fn, params = classification_pipeline(11, shape=shape, classes=3)
+    calls = []
+
+    def counted():
+        loss = loss_fn()
+        calls.append(loss.data.shape)
+        return loss
+
+    report = finite_difference_check(counted, params)
+    assert calls[0] == ()
+    # Each parameter is probed up and down in chunks of ``chunk`` entries, and
+    # a failed one's worst entry once more each way.
+    failed = sum(not check.passed for check in report.parameters)
+    assert len(calls) - 1 == sum(2 * -(-p.data.size // chunk) for p in params.values()) + 2 * failed
+    assert max(probes for probes, in calls[1:]) == chunk
+
+
 def _leaves(node, prefix=""):
     """(dotted name, value) of every leaf of a decoded params document."""
     for key, value in node.items():
@@ -678,5 +707,51 @@ def test_pruned_backward_matches_full_pass(variant, mode, batch, tokens, channel
         assert p.grad.tobytes() == full[name].tobytes(), name
     assert unreached.grad is None
     assert l1.grad is None and l2.grad is None and fused.grad is None
-    kept = {id(p) for p in params.values()}
+    kept = {id(p.node) for p in params.values()}
     assert all(node.grad is None for node in _topological_order(loss) if id(node) not in kept)
+
+
+def _arrays_held(loss):
+    """The distinct arrays the graph of ``loss`` holds: in its nodes, their closures' cells and any tensor there."""
+    held, seen = {}, set()
+    stack = list(_topological_order(loss))
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            held[id(obj)] = obj
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif isinstance(obj, (tuple, list)) or type(obj).__module__ == tensor_module.__name__:
+            stack.extend(gc.get_referents(obj))
+    return list(held.values())
+
+
+def test_graph_holds_only_the_arrays_its_backward_reads():
+    # Of the training forward's (B, T, C) arrays, the backward reads five:
+    # the mean (local conv1's input), l1 - l2 and g - 1/2 (the mix's
+    # product), bn2's x_hat in the local branch and the sigmoid map.
+    shape = (3, 5, 8)
+    rng = np.random.default_rng(0)
+    l1, l2 = Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=shape))
+    fused, weight = fuse_layers(l1, l2, init_gate_params(8, seed=0), "sigmoid", "full", training=True)
+    loss = softmax_cross_entropy(init_head(8, 3).logits(mean_pool_tokens(fused)), [0, 1, 2])
+    maps = [a for a in _arrays_held(loss) if a.shape == shape]
+    assert any(a is weight.data for a in maps)
+    held = {a.tobytes() for a in maps}
+    for kept in ((l1.data + l2.data) * 0.5, l1.data - l2.data, weight.data - 0.5):
+        assert kept.tobytes() in held
+    assert len(maps) <= 5
+
+
+def test_a_dropped_op_output_is_freed_while_its_child_lives():
+    x = parameter(RNG.normal(size=(2, 3, 4)))
+    total = broadcast_add(x, x)  # its backward reads no data
+    freed = weakref.ref(total.data)
+    loss = tensor_sum(scale(total, 0.5))
+    del total
+    assert freed() is None
+    backward(loss, wrt=[x])
+    npt.assert_array_equal(x.grad, np.ones((2, 3, 4)))

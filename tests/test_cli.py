@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import re
+import resource
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -46,6 +47,8 @@ def test_gen_task_outputs(workspace):
     assert manifest["subcommand"] == "gen-task"
     assert len(manifest["outputs"]) == 2
     assert all("sha256" in entry for entry in manifest["outputs"])
+    # The peak so far of this process, which ran gen-task in-process.
+    assert 0 < manifest["peak_rss_mb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     bank = read_bank(workspace / "src.bank")
     assert bank.n_layers == 3 and bank.shape == (72, 4, 8)
 
