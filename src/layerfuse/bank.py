@@ -119,6 +119,11 @@ class LayerBank:
         # Compared as Python strings: a numpy string array drops trailing NULs.
         return np.flatnonzero(np.fromiter((name == split for name in self.splits), bool))
 
+    def rows(self, indices):
+        """A bank of the sentences at ``indices``, in order, over copies of their rows: it shares no memory with this one."""
+        return LayerBank([layer[indices] for layer in self.layers], self.labels[indices],
+                         [self.languages[i] for i in indices], [self.splits[i] for i in indices])
+
 
 def check_fit(banks, upper, channels, split=None, params=None):
     """Raise DataError, naming the bank's file, unless each (path, bank) of ``banks`` fits a run.

@@ -104,9 +104,10 @@ def _load_json(path, build):
 
 
 def _run_setup(args):
-    """The banks a training command reads (``--src``, then ``--tgt`` if given),
-    its train config and its upper layer, each bank checked to fit the run and
-    the source to have a label above 0, since the head needs two classes."""
+    """The banks a training command reads (``--src``, then the test split of
+    ``--tgt`` if given), its train config and its upper layer, each bank
+    checked whole to fit the run and the source to have a label above 0,
+    since the head needs two classes."""
     def train_config(doc):
         cfg = TrainConfig.from_dict(doc)
         if args.command == "ablate" and "seed" in doc:
@@ -124,7 +125,9 @@ def _run_setup(args):
         raise DataError(f"{args.src}: every label is 0, and a classifier needs at least two classes")
     upper = args.upper if args.upper is not None else source.n_layers
     check_fit(banks, upper, source.shape[2], "test")
-    return [bank for _, bank in banks], cfg, upper
+    # Of the target these commands read only the test split; a copy of its
+    # rows lets the whole bank's map go before training.
+    return [source, *(bank.rows(bank.split_indices("test")) for _, bank in banks[1:])], cfg, upper
 
 
 def _add_train_flags(parser, seed=True):
@@ -207,6 +210,8 @@ def _cmd_train(args):
 
 
 def _cmd_sweep(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     (source, target), cfg, upper = _run_setup(args)
     layers = args.layers if args.layers is not None else list(range(1, upper + 1))
     report = layer_sweep(

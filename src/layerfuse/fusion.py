@@ -13,8 +13,8 @@ from .gate import (
     init_gate_params,
 )
 from .seeding import STREAM_HEAD, rng_stream
-from .tensor import (DimensionError, Tensor, broadcast_add, conv1x1, elementwise_mul, mean_pool_tokens,
-                     parameter, scale, shift, sub)
+from .tensor import (CHUNK_VALUES, DimensionError, Tensor, broadcast_add, conv1x1, elementwise_mul,
+                     mean_pool_tokens, parameter, scale, shift, sub)
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,28 @@ def fuse_layers(l1, l2, params, mode="sigmoid", variant="full", training=False):
     in "literal" mode.  Only the trailing (batch, tokens, channels) dims must
     match: leading axes broadcast, as in every op.
     """
+    return _gated_mix(*_mean_and_difference(l1, l2), params, mode, variant, training)
+
+
+def _mean_and_difference(l1, l2):
+    """(l1 + l2) / 2 and l1 - l2, all the mix reads of the layers.
+
+    A call of its own, so layers a caller makes only to pass here are freed
+    when it returns, before the gate runs: Python 3.10 keeps a call's
+    arguments on the caller's stack until the call returns.
+    """
     if l1.data.shape[-3:] != l2.data.shape[-3:]:
         raise DimensionError(
             f"fuse_layers: layer shapes differ, {l1.data.shape} vs {l2.data.shape}"
         )
-    mean = scale(broadcast_add(l1, l2), 0.5)
+    return scale(broadcast_add(l1, l2), 0.5), sub(l1, l2)
+
+
+def _gated_mix(mean, difference, params, mode, variant, training):
     weight = gate_forward(mean, params, mode, variant, training)
     # Evaluated as mean + (l1 - l2) * (g - 1/2): equal inputs and a gate of
     # exactly one half then reproduce l1 and the arithmetic mean bit-exactly.
-    fused = broadcast_add(mean, elementwise_mul(sub(l1, l2), shift(weight, -0.5)))
+    fused = broadcast_add(mean, elementwise_mul(difference, shift(weight, -0.5)))
     return fused, weight
 
 
@@ -88,9 +101,10 @@ class FusionSystem:
         return fuse_layers(l1, l2, self.params, self.mode, self.variant, training)
 
     def fused_batch(self, bank, rows, training=False):
-        l1 = Tensor(bank.layer(self.pair.lower)[rows])
-        l2 = Tensor(bank.layer(self.pair.upper)[rows])
-        return self.forward(l1, l2, training)[0]
+        # Not ``self.forward``, which would keep the float64 layer copies alive through the gate.
+        mean, difference = _mean_and_difference(Tensor(bank.layer(self.pair.lower)[rows]),
+                                                Tensor(bank.layer(self.pair.upper)[rows]))
+        return _gated_mix(mean, difference, self.params, self.mode, self.variant, training)[0]
 
 
 @dataclass
@@ -116,24 +130,20 @@ class BaselineSystem:
         return Tensor(bank.layer(self.upper)[rows])
 
 
-# Values per eval chunk. A chunk's graph sets the eval peak, so each float64
-# intermediate holds at most this many (1 MiB), unless one row holds more.
-EVAL_CHUNK_VALUES = 2**17
-
-
 def eval_chunks(system, bank, rows):
     """Yield the eval-mode output of ``system`` on ``rows``, one chunk of rows at a time.
 
-    Each chunk has max(1, EVAL_CHUNK_VALUES // (tokens * channels)) rows, so
-    a forward's intermediates stay bounded whatever the row count.  Eval mode
-    has no term across sentences (normalization applies its running
-    statistics; pooling and the convolutions act per sentence), so the chunks
-    concatenated equal one forward over all of ``rows``, bit for bit.  Each
-    chunk's graph is freed before the next one is built.
+    Each chunk has max(1, CHUNK_VALUES // (tokens * channels)) rows, so a
+    forward's intermediates stay bounded whatever the row count: a chunk's
+    graph sets the eval peak.  Eval mode has no term across sentences
+    (normalization applies its running statistics; pooling and the
+    convolutions act per sentence), so the chunks concatenated equal one
+    forward over all of ``rows``, bit for bit.  Each chunk's graph is freed
+    before the next one is built.
     """
     rows = np.asarray(rows)
     _, tokens, channels = bank.shape
-    size = max(1, EVAL_CHUNK_VALUES // (tokens * channels))
+    size = max(1, CHUNK_VALUES // (tokens * channels))
     for start in range(0, rows.size, size):
         yield system.fused_batch(bank, rows[start:start + size], training=False).data
 

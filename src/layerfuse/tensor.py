@@ -52,6 +52,10 @@ __all__ = [
 SIGMOID_CEIL = float(np.nextafter(1.0, 0.0))
 SIGMOID_FLOOR = float(np.nextafter(0.0, 1.0))
 
+# Values per slice of a backward's second factor, and per eval chunk of rows
+# (``fusion.eval_chunks``): 1 MiB of float64, unless one row holds more.
+CHUNK_VALUES = 2**17
+
 
 class DimensionError(ValueError):
     """Operand shapes violate an operation's contract."""
@@ -207,6 +211,12 @@ def _require_rank3(op, *tensors):
             )
 
 
+def _row_slices(shape):
+    """Batch-axis slices of a (batch, tokens, channels) ``shape``: at most CHUNK_VALUES values, at least one row each."""
+    rows = max(1, CHUNK_VALUES // (shape[1] * shape[2]))
+    return [slice(start, start + rows) for start in range(0, shape[0], rows)]
+
+
 def _sum_tokens_to(grad, tokens):
     """``grad`` for an operand of ``tokens`` tokens: summed over the token axis where it held one."""
     return grad if tokens == grad.shape[1] else grad.sum(axis=1, keepdims=True)
@@ -339,7 +349,12 @@ def sigmoid(t):
     np.minimum(values, SIGMOID_CEIL, out=values)
 
     def _bw(g, wanted):
-        return (g * values * (1.0 - values),)
+        # g * values * (1 - values), the second factor applied a slice of
+        # rows at a time: no whole-map temporary is alive beside the product.
+        grad = g * values
+        for rows in _row_slices(grad.shape):
+            grad[rows] *= 1.0 - values[rows]
+        return (grad,)
 
     return _node(values, (t,), _bw)
 
@@ -427,7 +442,12 @@ def batch_norm(w, state, training=False):
         if not wanted[0]:
             gw = None
         elif training:
-            gw = gamma * inv_std * (g - g_sum / count - x_hat * (g_x_hat / count))
+            # gamma * inv_std * (g - g_sum / count - x_hat * (g_x_hat / count)),
+            # each step after the first applied a slice of rows at a time.
+            gw = g - g_sum / count
+            for rows in _row_slices(gw.shape):
+                gw[rows] -= x_hat[rows] * (g_x_hat / count)
+                gw[rows] *= gamma * inv_std
         else:
             gw = g * (gamma * inv_std)
         return gw, g_x_hat, g_sum

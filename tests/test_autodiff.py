@@ -746,6 +746,48 @@ def test_graph_holds_only_the_arrays_its_backward_reads():
     assert len(maps) <= 5
 
 
+def _captured(node):
+    """The values a node's backward closure captured, by name."""
+    bw = node.backward
+    return dict(zip(bw.__code__.co_freevars, (cell.cell_contents for cell in bw.__closure__)))
+
+
+# (input shape, slice budget in values): rows of 12 values in slices of 2, 2
+# and 1 rows or of one row each, pooled rows of 4 values in slices of 2, 2
+# and 1, and an empty batch.
+SLICED_BACKWARD_CASES = [((5, 3, 4), 25), ((5, 3, 4), 5), ((5, 1, 4), 9), ((0, 3, 4), 25)]
+
+
+@pytest.mark.parametrize("shape, budget", SLICED_BACKWARD_CASES)
+def test_sliced_sigmoid_backward_equals_one_expression(monkeypatch, shape, budget):
+    monkeypatch.setattr(tensor_module, "CHUNK_VALUES", budget)
+    out = sigmoid(Tensor(RNG.normal(size=shape) * 4.0))
+    g = RNG.normal(size=shape)
+    values = out.data
+    (grad,) = out.node.backward(g, [True])
+    assert grad.shape == shape
+    assert grad.tobytes() == (g * values * (1.0 - values)).tobytes()
+
+
+@pytest.mark.parametrize("shape, budget", SLICED_BACKWARD_CASES)
+def test_sliced_batch_norm_backward_equals_one_expression(monkeypatch, shape, budget):
+    monkeypatch.setattr(tensor_module, "CHUNK_VALUES", budget)
+    state = BatchNormState(4)
+    state.gamma.data[:] = RNG.normal(size=4)
+    g = RNG.normal(size=shape)
+    # An empty batch has no statistics: its 0/0 is computed and not read.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = batch_norm(Tensor(RNG.normal(size=shape) * 3.0 + 1.0), state, training=True)
+        grads = out.node.backward(g, [True, True, True])
+        kept = _captured(out.node)
+        gamma, inv_std, x_hat, count = (kept[name] for name in ("gamma", "inv_std", "x_hat", "count"))
+        g_x_hat, g_sum = np.add.reduce(g * x_hat, axis=(0, 1)), np.add.reduce(g, axis=(0, 1))
+        whole = gamma * inv_std * (g - g_sum / count - x_hat * (g_x_hat / count))
+    assert grads[0].shape == shape
+    assert grads[0].tobytes() == whole.tobytes()
+    assert grads[1].tobytes() == g_x_hat.tobytes() and grads[2].tobytes() == g_sum.tobytes()
+
+
 def test_a_dropped_op_output_is_freed_while_its_child_lives():
     x = parameter(RNG.normal(size=(2, 3, 4)))
     total = broadcast_add(x, x)  # its backward reads no data

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import threading
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -38,7 +39,8 @@ from layerfuse import (
     write_bank,
 )
 from layerfuse.bank import MAGIC, ParamsFormatError
-from layerfuse.fusion import EVAL_CHUNK_VALUES, stored_values
+from layerfuse.fusion import stored_values
+from layerfuse.tensor import CHUNK_VALUES
 from layerfuse.cli import main
 
 RNG = np.random.default_rng(404)
@@ -317,6 +319,21 @@ class TestBankRoundtrip:
         assert len(owners) == 1 and isinstance(_owner(loaded.layers[0]), mmap.mmap)
         assert all(layer.flags.writeable for layer in loaded.layers)
 
+    def test_a_bank_of_some_rows_lets_the_map_go(self, tmp_path):
+        path = tmp_path / "bank.bank"
+        write_bank(generate_task(SMALL)[1], path)
+        loaded = read_bank(path)
+        picked = np.array([5, 0, 3])
+        kept = loaded.rows(picked)
+        assert [layer.tobytes() for layer in kept.layers] == [layer[picked].tobytes() for layer in loaded.layers]
+        assert {layer.dtype for layer in kept.layers} == {np.dtype(np.float32)}
+        assert kept.labels.tolist() == loaded.labels[picked].tolist()
+        assert (kept.languages, kept.splits) == ([loaded.languages[i] for i in picked],
+                                                 [loaded.splits[i] for i in picked])
+        the_map = weakref.ref(_owner(loaded.layers[0]))
+        del loaded
+        assert the_map() is None
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
     def test_read_peak_is_about_the_file_size(self, tmp_path):
         # 2 layers of (64, 128, 768): a 50 MB file.  Read in a fresh process,
@@ -391,7 +408,7 @@ class TestBankRoundtrip:
                              labels=[0, 1] * 48, languages=["src"] * 96, splits=["test"] * 96), bank_path)
         save_params(build_fusion_system(LayerPair(1, 2), 384, seed=0), init_head(384, 2, seed=0), params)
         rise = int(_run_script(_FUSE_RISE_SCRIPT, bank_path, params, out).splitlines()[-1])
-        assert rise < bank_path.stat().st_size + 4 * np.prod(shape) + 20 * EVAL_CHUNK_VALUES * 8
+        assert rise < bank_path.stat().st_size + 4 * np.prod(shape) + 20 * CHUNK_VALUES * 8
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from layerfuse import BaselineSystem, LayerBank, SweepRow, init_head, read_bank, save_params, write_bank
 from layerfuse.fusion import LayerPair, build_fusion_system
-from layerfuse import cli
+from layerfuse import cli, training
 from layerfuse.cli import main
 from layerfuse.synthetic import SyntheticTaskSpec, generate_task
 
@@ -281,6 +281,63 @@ def test_ablate(workspace, tmp_path):
     lines = report.read_text().strip().splitlines()
     assert lines[0].startswith("variant,seed")
     assert sum(1 for line in lines if line.startswith("full,")) == 3  # 2 seeds + mean
+
+
+# Each training command that reads --tgt, its output flags naming files "{out}.<suffix>".
+TARGET_READERS = {
+    "train": ["--lower", "1", "--out", "{out}.json"],
+    "sweep": ["--layers", "1..3", "--jobs", "2", "--report", "{out}.csv", "--json-report", "{out}.json"],
+    "ablate": ["--lower", "2", "--seeds", "0..1", "--report", "{out}.csv"],
+}
+
+
+@pytest.mark.parametrize("command", TARGET_READERS)
+def test_training_commands_read_only_the_targets_test_split(workspace, tmp_path, monkeypatch, capsys, command):
+    target = read_bank(workspace / "tgt.bank")
+    write_bank(target.rows(target.split_indices("test")), tmp_path / "test_rows.bank")
+    monkeypatch.chdir(tmp_path)
+    written = {}
+    for out, tgt in (("whole", workspace / "tgt.bank"), ("test_only", tmp_path / "test_rows.bank")):
+        argv = [command, "--src", str(workspace / "src.bank"), "--tgt", str(tgt), "--epochs", "1",
+                *(arg.format(out=out) for arg in TARGET_READERS[command])]
+        assert main(argv) == 0
+        files = sorted((path.suffix, path.read_bytes()) for path in tmp_path.glob(f"{out}.*")
+                       if not path.name.endswith(".manifest.json"))
+        written[out] = capsys.readouterr(), files
+    assert written["whole"][1]
+    assert written["whole"] == written["test_only"]
+
+
+@pytest.mark.parametrize("command", TARGET_READERS)
+def test_target_with_a_nan_in_its_train_split_is_refused_before_training(
+        workspace, tmp_path, monkeypatch, capsys, command):
+    target = read_bank(workspace / "tgt.bank")
+    layers = [layer.copy() for layer in target.layers]
+    sentence = target.split_indices("train")[5]
+    layers[1][sentence, 2, 3] = np.nan
+    write_bank(replace(target, layers=layers), tmp_path / "nan.bank")
+
+    def trains(*args, **kwargs):
+        raise AssertionError("trained on a target the reader refuses")
+
+    monkeypatch.setattr(cli, "train", trains)
+    monkeypatch.setattr(training, "train", trains)
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--src", str(workspace / "src.bank"), "--tgt", "nan.bank",
+            *(arg.format(out="out") for arg in TARGET_READERS[command])]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: nan.bank: non-finite value at layer 2, sentence {sentence}, token 2, channel 3\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["nan.bank"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_refuses_jobs_below_one(workspace, tmp_path, monkeypatch, capsys, jobs):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--src", str(workspace / "src.bank"), "--tgt", str(workspace / "tgt.bank"),
+                 "--report", "s.csv", "--json-report", "s.json", "--jobs", jobs]) == 1
+    assert capsys.readouterr() == ("", f"error: --jobs must be at least 1, got {jobs}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gradcheck_passes(tmp_path, capsys):

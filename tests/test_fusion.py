@@ -1,5 +1,6 @@
 """Two-layer fusion algebra and the fusion-system plumbing."""
 
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +32,7 @@ from layerfuse import (
 from layerfuse import fusion
 from layerfuse.cli import main
 from layerfuse.fusion import FusionSystem, eval_chunks, stored_values
+from layerfuse.gate import gate_forward
 from layerfuse.training import evaluate
 from tensor_helpers import tensor_sum
 
@@ -233,6 +235,28 @@ class TestGatherWidening:
         assert fused[0].dtype == np.float64
         assert fused[0].tobytes() == fused[1].tobytes()
 
+    @pytest.mark.parametrize("variant,mode", [("full", "sigmoid"), ("local", "literal")])
+    def test_layer_copies_are_freed_before_the_gate_runs(self, monkeypatch, variant, mode):
+        # The graph reads only the layers' mean and difference, so the two
+        # float64 copies of the gathered rows must be gone by the gate.
+        copies, alive = [], []
+
+        def recording_tensor(data):
+            made = Tensor(data)
+            copies.append(weakref.ref(made.data))
+            return made
+
+        def recording_gate(*args, **kwargs):
+            alive.append([ref() is not None for ref in copies])
+            return gate_forward(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, "Tensor", recording_tensor)
+        monkeypatch.setattr(fusion, "gate_forward", recording_gate)
+        system = build_system(1, 3, 8, variant, mode, seed=4)
+        system.fused_batch(generate_task(self.SPEC)[0], np.array([6, 0, 3, 11, 2]), training=True)
+        assert len(copies) == 2
+        assert alive == [[False, False]]
+
 
 class TestEvalChunks:
     # 23 sentences of (3, 8): T*C = 24 values a row, so chunks of 5 rows end
@@ -267,7 +291,7 @@ class TestEvalChunks:
         system = self._system(lower, variant, mode)
         rows = np.arange(bank.shape[0])[::-1]
         whole = system.fused_batch(bank, rows, training=False).data
-        monkeypatch.setattr(fusion, "EVAL_CHUNK_VALUES", values)
+        monkeypatch.setattr(fusion, "CHUNK_VALUES", values)
         chunks = list(eval_chunks(system, bank, rows))
         size = max(1, values // self.ROW_VALUES)
         assert [len(chunk) for chunk in chunks] == [len(rows[i:i + size]) for i in range(0, len(rows), size)]
@@ -315,10 +339,10 @@ class TestEvalChunks:
         write_bank(bank, bank_path)
         save_params(system, init_head(8, bank.num_classes, seed=2), params)
         # The default chunk holds every row of this bank.
-        assert fusion.EVAL_CHUNK_VALUES >= 23 * self.ROW_VALUES
+        assert fusion.CHUNK_VALUES >= 23 * self.ROW_VALUES
         one = self._eval_outputs(system, bank, bank_path, params, tmp_path / "one.bank")
         for values in self.CHUNK_VALUES:
-            monkeypatch.setattr(fusion, "EVAL_CHUNK_VALUES", values)
+            monkeypatch.setattr(fusion, "CHUNK_VALUES", values)
             assert self._eval_outputs(system, bank, bank_path, params, tmp_path / f"{values}.bank") == one
 
     def test_eval_callers_never_exceed_one_chunk(self, monkeypatch, tmp_path):
@@ -335,7 +359,7 @@ class TestEvalChunks:
 
         for cls in (FusionSystem, BaselineSystem):
             monkeypatch.setattr(cls, "fused_batch", recording(cls.fused_batch))
-        monkeypatch.setattr(fusion, "EVAL_CHUNK_VALUES", 2 * self.ROW_VALUES)
+        monkeypatch.setattr(fusion, "CHUNK_VALUES", 2 * self.ROW_VALUES)
         files = ["--src", str(bank_path), "--tgt", str(tgt_path)]
         for which in (["--lower", "1"], ["--baseline"]):
             params = tmp_path / "params.json"
