@@ -68,6 +68,7 @@ from .tensor import (
     conv1x1,
     elementwise_mul,
     mean_pool_tokens,
+    mix,
     parameter,
     relu,
     scale,

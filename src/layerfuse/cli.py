@@ -70,6 +70,16 @@ def _path_entries(paths):
     return entries
 
 
+def _input_entries(args):
+    """The banks, params and config file a command reads, with their digests taken before it runs,
+    since its output may overwrite one of them."""
+    paths = []
+    for name in ("bank", "src", "tgt", "params", "spec", "train_config"):
+        value = getattr(args, name, None)
+        paths += value if isinstance(value, list) else [value]
+    return _path_entries(paths)
+
+
 def _write_manifest(args, argv, config, inputs, outputs, started):
     if args.manifest:
         target = Path(args.manifest)
@@ -83,8 +93,7 @@ def _write_manifest(args, argv, config, inputs, outputs, started):
         "argv": argv,
         "config": config,
         "seeds": config.get("seed", config.get("seeds")),
-        # A config file the run reads is an input too, after its banks and params.
-        "inputs": _path_entries([*inputs, getattr(args, "spec", None), getattr(args, "train_config", None)]),
+        "inputs": inputs,
         "outputs": _path_entries(outputs),
         "duration_seconds": round(time.monotonic() - started, 6),
         # The process's lifetime peak: an in-process caller's own peak counts too.
@@ -152,7 +161,7 @@ def _cmd_gen_task(args):
     print(f"wrote {args.out_src} and {args.out_tgt}: "
           f"{source.n_layers} layers, shape {source.shape}")
     config = {"spec": spec.to_dict(), "seed": spec.seed}
-    return config, [], [args.out_src, args.out_tgt], 0
+    return config, [args.out_src, args.out_tgt], 0
 
 
 def _cmd_inspect_bank(args):
@@ -167,7 +176,7 @@ def _cmd_inspect_bank(args):
     print("  languages: " + ", ".join(languages))
     counts = {int(label): int((bank.labels == label).sum()) for label in sorted(set(bank.labels))}
     print(f"  labels: {counts}")
-    return {"bank": str(args.bank)}, [args.bank], [], 0
+    return {"bank": str(args.bank)}, [], 0
 
 
 def _cmd_fuse(args):
@@ -184,7 +193,7 @@ def _cmd_fuse(args):
     write_bank(replace(bank, layers=[fused]), args.out)
     print(f"wrote fused bank {args.out} ({system.config_id()})")
     config = {"system": system.config_id(), "bank": str(args.bank)}
-    return config, [args.bank, args.params], [args.out], 0
+    return config, [args.out], 0
 
 
 def _cmd_train(args):
@@ -206,7 +215,7 @@ def _cmd_train(args):
         "train": cfg.__dict__,
         "seed": cfg.seed,
     }
-    return config, [args.src, args.tgt], [args.out], 0
+    return config, [args.out], 0
 
 
 def _cmd_sweep(args):
@@ -233,7 +242,7 @@ def _cmd_sweep(args):
         "train": cfg.__dict__,
         "seed": cfg.seed,
     }
-    return config, [args.src, args.tgt], outputs, 0
+    return config, outputs, 0
 
 
 def _cmd_ablate(args):
@@ -257,7 +266,7 @@ def _cmd_ablate(args):
         "seeds": list(args.seeds),
         "train": cfg.__dict__,
     }
-    return config, [args.src, args.tgt], [args.report], 0
+    return config, [args.report], 0
 
 
 def _cmd_cossim(args):
@@ -290,7 +299,7 @@ def _cmd_cossim(args):
         "format": args.format,
         "seed": args.seed,
     }
-    return config, [args.src, *args.tgt, args.params], outputs, 0
+    return config, outputs, 0
 
 
 def _cmd_gradcheck(args):
@@ -319,7 +328,7 @@ def _cmd_gradcheck(args):
         "shape": list(shape),
         "classes": args.classes,
     }
-    return config, [], [], 1 if failures else 0
+    return config, [], 1 if failures else 0
 
 
 def build_parser():
@@ -426,7 +435,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        config, inputs, outputs, code = args.func(args)
+        inputs = _input_entries(args)
+        config, outputs, code = args.func(args)
         _write_manifest(args, argv, config, inputs, outputs, started)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -13,8 +13,8 @@ from .gate import (
     init_gate_params,
 )
 from .seeding import STREAM_HEAD, rng_stream
-from .tensor import (CHUNK_VALUES, DimensionError, Tensor, broadcast_add, conv1x1, elementwise_mul,
-                     mean_pool_tokens, parameter, scale, shift, sub)
+from .tensor import (CHUNK_VALUES, DimensionError, Tensor, broadcast_add, conv1x1, mean_pool_tokens,
+                     mix, parameter, scale, sub)
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ def _gated_mix(mean, difference, params, mode, variant, training):
     weight = gate_forward(mean, params, mode, variant, training)
     # Evaluated as mean + (l1 - l2) * (g - 1/2): equal inputs and a gate of
     # exactly one half then reproduce l1 and the arithmetic mean bit-exactly.
-    fused = broadcast_add(mean, elementwise_mul(difference, shift(weight, -0.5)))
-    return fused, weight
+    return mix(mean, difference, weight), weight
 
 
 @dataclass

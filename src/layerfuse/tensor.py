@@ -26,6 +26,8 @@ whether its gradient is wanted, it returns its parents' gradients, and
 the contributions a tensor receives along several paths.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "sub",
     "scale",
     "shift",
+    "mix",
     "mean_pool_tokens",
     "conv1x1",
     "batch_norm",
@@ -212,8 +215,8 @@ def _require_rank3(op, *tensors):
 
 
 def _row_slices(shape):
-    """Batch-axis slices of a (batch, tokens, channels) ``shape``: at most CHUNK_VALUES values, at least one row each."""
-    rows = max(1, CHUNK_VALUES // (shape[1] * shape[2]))
+    """Slices of the first axis of ``shape``: at most CHUNK_VALUES values, at least one row each."""
+    rows = max(1, CHUNK_VALUES // max(1, math.prod(shape[1:])))
     return [slice(start, start + rows) for start in range(0, shape[0], rows)]
 
 
@@ -290,6 +293,34 @@ def shift(t, offset):
     return _node(t.data + float(offset), (t,), _bw)
 
 
+def mix(mean, difference, weight):
+    """mean + difference * (weight - 1/2), the gate's convex mix as one op; ``weight`` may carry one token.
+
+    The bits of ``broadcast_add(mean, elementwise_mul(difference, shift(weight, -0.5)))``
+    without its intermediate maps; the backward recomputes weight - 1/2 where it reads it.
+    """
+    _require_rank3("mix", mean, difference, weight)
+    (bm, tm, em), (bw, tw, ew) = mean.data.shape[-3:], weight.data.shape[-3:]
+    if difference.data.shape[-3:] != (bm, tm, em) or not (bw == bm and ew == em and tw in (tm, 1)):
+        raise DimensionError(
+            f"mix: incompatible shapes {mean.data.shape}, {difference.data.shape} and "
+            f"{weight.data.shape}"
+        )
+
+    d, w = difference.data, weight.data
+
+    def _bw(g, wanted):
+        return (g if wanted[0] else None,
+                g * (w - 0.5) if wanted[1] else None,
+                _sum_tokens_to(g * d, tw) if wanted[2] else None)
+
+    out = np.empty(np.broadcast_shapes(mean.data.shape, d.shape, w.shape))
+    np.subtract(w, 0.5, out=out)
+    out *= d
+    out += mean.data
+    return _node(out, (mean, difference, weight), _bw)
+
+
 def mean_pool_tokens(w):
     """Average over the token axis, keeping shape (batch, 1, channels)."""
     _require_rank3("mean_pool_tokens", w)
@@ -342,11 +373,19 @@ def relu(t):
 def sigmoid(t):
     """Numerically stable logistic map with outputs strictly inside (0, 1)."""
     x = t.data
-    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below: exp never overflows.
-    e = np.exp(-np.abs(x))
-    values = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    np.maximum(values, SIGMOID_FLOOR, out=values)
-    np.minimum(values, SIGMOID_CEIL, out=values)
+    values = np.empty(x.shape)
+    # np.where(x >= 0, 1.0, e) / (1.0 + e) with e = exp(-|x|), so exp never
+    # overflows, a slice of rows at a time into the output: a slice's temporaries stay in cache.
+    for rows in _row_slices(x.shape):
+        out = values[rows]
+        np.abs(x[rows], out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        e = out + 1.0
+        np.copyto(out, 1.0, where=x[rows] >= 0)
+        out /= e
+        np.maximum(out, SIGMOID_FLOOR, out=out)
+        np.minimum(out, SIGMOID_CEIL, out=out)
 
     def _bw(g, wanted):
         # g * values * (1 - values), the second factor applied a slice of
@@ -422,10 +461,9 @@ def batch_norm(w, state, training=False):
         # The sum, divide, subtract, square and sum that ``ndarray.mean`` and
         # ``ndarray.var`` run, without their Python layer: the same bits.
         mean = np.add.reduce(x, axis=(-3, -2), keepdims=True) / count
-        centered = x - mean
-        var = np.add.reduce(centered * centered, axis=(-3, -2), keepdims=True) / count
+        x_hat = x - mean
+        var = np.add.reduce(x_hat * x_hat, axis=(-3, -2), keepdims=True) / count
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        x_hat = centered * inv_std
         if x.ndim == 3:
             m = state.momentum
             for running, batch in ((state.running_mean, mean), (state.running_var, var)):
@@ -433,7 +471,8 @@ def batch_norm(w, state, training=False):
                 running += m * batch[0, 0]
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        x_hat = (x - state.running_mean) * inv_std
+        x_hat = x - state.running_mean
+    x_hat *= inv_std  # the centered input, normalized in place
 
     def _bw(g, wanted):
         # Both reductions also feed the input gradient of a training call.
@@ -452,4 +491,9 @@ def batch_norm(w, state, training=False):
             gw = g * (gamma * inv_std)
         return gw, g_x_hat, g_sum
 
-    return _node(gamma * x_hat + state.beta.data, (w, state.gamma, state.beta), _bw)
+    # gamma * x_hat + beta in one array; gradcheck's probes give gamma and
+    # beta leading axes that x_hat lacks.
+    out = np.empty(np.broadcast_shapes(gamma.shape, x_hat.shape, state.beta.data.shape))
+    np.multiply(gamma, x_hat, out=out)
+    out += state.beta.data
+    return _node(out, (w, state.gamma, state.beta), _bw)

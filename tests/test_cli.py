@@ -143,6 +143,21 @@ def test_train_fuse_cossim_chain(workspace, tmp_path, capsys):
     assert lines[-1].startswith("D_1,all,")
 
 
+def test_manifest_digests_an_input_before_the_output_overwrites_it(workspace, tmp_path):
+    params = tmp_path / "d1.json"
+    assert main(["train", "--src", str(workspace / "src.bank"), "--lower", "1", "--seed", "3",
+                 "--epochs", "1", "--out", str(params)]) == 0
+    bank = tmp_path / "in.bank"
+    bank.write_bytes((workspace / "src.bank").read_bytes())
+    before = hashlib.sha256(bank.read_bytes()).hexdigest()
+    assert main(["fuse", "--bank", str(bank), "--params", str(params), "--out", str(bank)]) == 0
+    after = hashlib.sha256(bank.read_bytes()).hexdigest()
+    assert after != before
+    manifest = json.loads((tmp_path / "in.bank.manifest.json").read_text())
+    assert manifest["inputs"][0] == {"path": str(bank), "sha256": before}
+    assert manifest["outputs"] == [{"path": str(bank), "sha256": after}]
+
+
 def test_train_config_file(workspace, tmp_path):
     cfg_path = tmp_path / "train.json"
     cfg_path.write_text(json.dumps({"epochs": 1, "learning_rate": 0.005, "seed": 11}))
