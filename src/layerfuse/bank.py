@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import stored_template, stored_values
-from .tensor import BatchNormState, Tensor
+from .fusion import KINDS, ClassifierHead, stored_values
+from .tensor import BatchNormState, Tensor, parameter
 
 MAGIC = b"DLFB"
 BANK_VERSION = 1
@@ -338,7 +338,7 @@ def save_params(system, head, path):
         "format": PARAMS_FORMAT,
         "version": PARAMS_VERSION,
         "system": system.describe(),
-        "gate": None,  # replaced by the gate block of a fusion system
+        "gate": None,  # every v1 file has a gate block: null unless the system stores gate values
         **_nest(named.items()),
     }
     _atomic_write(path, [_render(doc).encode("utf-8")])
@@ -394,8 +394,9 @@ def _fill(owner, attribute, value, name, booleans):
 
 
 def load_params(path):
-    """Load (system, head) from a parameter file: fill ``stored_template`` through ``stored_values``.
+    """Load (system, head): fill the ``template`` of ``KINDS[system.kind]`` and a zero head through ``stored_values``.
 
+    The head has the stored head weight's shape, its rows the system's channels when it has them.
     Each refusal names the file and the dotted field.
     """
     with open(path, "r", encoding="utf-8") as handle:
@@ -410,13 +411,29 @@ def load_params(path):
     def get(dotted):
         return _lookup(doc, dotted)
 
+    def integer(key):
+        value = get(f"system.{key}")
+        if type(value) is not int:
+            raise ValueError(f"system.{key} must be an integer, got {value!r}")
+        return value
+
     try:
         if get("format") != PARAMS_FORMAT:
             raise ParamsFormatError(f"unknown format {get('format')!r}")
         version = get("version")
         if type(version) is not int or version != PARAMS_VERSION:
             raise ParamsFormatError(f"unsupported schema version {version!r}")
-        system, head = stored_template(get)
+        kind = get("system.kind")
+        if type(kind) is not str or kind not in KINDS:
+            raise ValueError(f"unknown system kind {kind!r}")
+        system = KINDS[kind].template(get, integer)
+        weight = get("head.weight")  # outside the try: a missing block names itself
+        try:
+            rows, classes = np.shape(weight)
+        except ValueError:
+            raise ValueError("head.weight must be a 2-D array") from None
+        rows = system.describe().get("channels", rows)
+        head = ClassifierHead(weight=parameter(np.zeros((rows, classes))), bias=parameter(np.zeros(classes)))
         for name, owner, attribute in stored_values(system, head):
             _fill(owner, attribute, get(name), name, booleans)
         return system, head

@@ -210,8 +210,8 @@ def _cmd_train(args):
     save_params(system, head, args.out)
     config = {
         "system": system.config_id(),
-        "variant": None if args.baseline else args.variant,
-        "gate_mode": None if args.baseline else args.gate_mode,
+        "variant": system.describe().get("variant"),
+        "gate_mode": system.describe().get("gate_mode"),
         "train": cfg.__dict__,
         "seed": cfg.seed,
     }

@@ -69,6 +69,7 @@ def _gated_mix(mean, difference, params, mode, variant, training):
 class FusionSystem:
     """A fusion-ready pairing of layer indices, gate parameters, and mode."""
 
+    kind = "fusion"
     pair: LayerPair
     params: GateParams
     variant: str = "full"
@@ -78,13 +79,20 @@ class FusionSystem:
         check_variant(self.variant)
         check_gate_mode(self.mode)
 
+    @classmethod
+    def template(cls, get, integer):
+        """A params file's system, zeros in every stored value; ``get`` reads a dotted name, ``integer`` a system key."""
+        return cls(pair=LayerPair(integer("lower"), integer("upper")),
+                   params=gate_template(integer("channels"), integer("reduction")),
+                   variant=get("system.variant"), mode=get("system.gate_mode"))
+
     def config_id(self):
         return f"D_{self.pair.lower}"
 
     def describe(self):
         """The ``system`` block of a parameter file."""
         return {
-            "kind": "fusion",
+            "kind": self.kind,
             "lower": self.pair.lower,
             "upper": self.pair.upper,
             "variant": self.variant,
@@ -94,7 +102,8 @@ class FusionSystem:
         }
 
     def state(self):
-        return self.params.state()
+        for name, owner, attribute in self.params.state():
+            yield f"gate.{name}", owner, attribute
 
     def forward(self, l1, l2, training=False):
         return fuse_layers(l1, l2, self.params, self.mode, self.variant, training)
@@ -110,23 +119,32 @@ class FusionSystem:
 class BaselineSystem:
     """Reference system: the top layer passes through untouched."""
 
+    kind = "baseline"
     upper: int
 
     def __post_init__(self):
         if self.upper < 1:
             raise ValueError(f"baseline needs upper >= 1, got {self.upper}")
 
+    @classmethod
+    def template(cls, get, integer):
+        return cls(upper=integer("upper"))
+
     def config_id(self):
         return "baseline"
 
     def describe(self):
-        return {"kind": "baseline", "upper": self.upper}
+        return {"kind": self.kind, "upper": self.upper}
 
     def state(self):
         return ()
 
     def fused_batch(self, bank, rows, training=False):
         return Tensor(bank.layer(self.upper)[rows])
+
+
+# A params file's ``system.kind`` -> the class it names.
+KINDS = {cls.kind: cls for cls in (FusionSystem, BaselineSystem)}
 
 
 def eval_chunks(system, bank, rows):
@@ -154,12 +172,11 @@ def sentence_embeddings(system, bank, rows):
 
 
 def stored_values(system, head):
-    """Where each value of a params file lives, ``gate.*`` then ``head.*``: (dotted name, owner, attribute).
+    """Where each value of a params file lives, the system's then ``head.*``: (dotted name, owner, attribute).
 
     ``save_params`` writes the values in this order and ``load_params`` reads them back through it.
     """
-    for name, owner, attribute in system.state():
-        yield f"gate.{name}", owner, attribute
+    yield from system.state()
     yield "head.weight", head, "weight"
     yield "head.bias", head, "bias"
 
@@ -167,40 +184,6 @@ def stored_values(system, head):
 def trainable(walk):
     """The tensors of a stored-value walk, by dotted name: the values ``train`` moves and ``gradcheck`` checks."""
     return {name: getattr(o, a) for name, o, a in walk if isinstance(getattr(o, a), Tensor)}
-
-
-def stored_template(get):
-    """The (system, head) a params file describes, zeros in every stored value; ``get(dotted name)`` reads it.
-
-    The head has the stored head weight's shape, its rows a fusion system's channels.
-    """
-    def integer(key):
-        value = get(f"system.{key}")
-        if type(value) is not int:
-            raise ValueError(f"system.{key} must be an integer, got {value!r}")
-        return value
-
-    kind = get("system.kind")
-    if kind == "baseline":
-        system = BaselineSystem(upper=integer("upper"))
-    elif kind == "fusion":
-        system = FusionSystem(
-            pair=LayerPair(integer("lower"), integer("upper")),
-            params=gate_template(integer("channels"), integer("reduction")),
-            variant=get("system.variant"),
-            mode=get("system.gate_mode"),
-        )
-    else:
-        raise ValueError(f"unknown system kind {kind!r}")
-    weight = get("head.weight")  # outside the try: a missing block names itself
-    try:
-        rows, classes = np.shape(weight)
-    except ValueError:
-        raise ValueError("head.weight must be a 2-D array") from None
-    if isinstance(system, FusionSystem):
-        rows = system.params.channels
-    head = ClassifierHead(weight=parameter(np.zeros((rows, classes))), bias=parameter(np.zeros(classes)))
-    return system, head
 
 
 def build_fusion_system(pair, channels, variant="full", mode="sigmoid", seed=0):

@@ -38,6 +38,7 @@ from layerfuse import (
     save_params,
     write_bank,
 )
+from layerfuse import fusion
 from layerfuse.bank import MAGIC, ParamsFormatError
 from layerfuse.fusion import stored_values
 from layerfuse.tensor import CHUNK_VALUES
@@ -49,6 +50,14 @@ SMALL = SyntheticTaskSpec(
     train_sentences=12, test_sentences=6, channels=4, latent_dim=3,
     tokens=2, n_layers=2, invariance=(0.8, 0.2), seed=21,
 )
+
+
+# One system of each kind of ``fusion.KINDS``, at ``width`` channels, for the params round-trip tests.
+EXAMPLES = {
+    "baseline": lambda width, variant, mode: BaselineSystem(upper=2),
+    "fusion": lambda width, variant, mode: build_fusion_system(
+        LayerPair(1, 2), width, variant=variant, mode=mode, seed=0),
+}
 
 
 # Every leaf of a version-1 parameter file of a fusion system, by dotted path.
@@ -107,6 +116,8 @@ def _set(dotted, change):
 MALFORMED_PARAMS = [
     ("system.upper", _drop("system.upper")),
     ("system.kind", _drop("system.kind")),
+    ("unknown system kind 'bogus'", _set("system.kind", lambda v: "bogus")),
+    ("unknown system kind ['fusion']", _set("system.kind", lambda v: ["fusion"])),
     ("gate.local.conv2.bias", _drop("gate.local.conv2.bias")),
     ("head.bias", _drop("head.bias")),
     ("format", lambda doc: [doc]),
@@ -837,6 +848,19 @@ class TestParamsRoundtrip:
             save_params(system, init_head(8, 3, seed=1), path)
         assert not path.exists()
 
+    def test_every_kind_has_an_example(self):
+        assert set(EXAMPLES) == set(fusion.KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(EXAMPLES))
+    def test_every_kind_resaves_byte_identical(self, tmp_path, kind):
+        system = EXAMPLES[kind](8, "full", "sigmoid")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_params(system, init_head(8, 3, seed=5), a)
+        loaded, head = load_params(a)
+        assert type(loaded) is fusion.KINDS[kind] and loaded.describe() == system.describe()
+        save_params(loaded, head, b)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_baseline_roundtrip(self, tmp_path):
         path = tmp_path / "base.json"
         save_params(BaselineSystem(upper=6), init_head(8, 3, seed=2), path)
@@ -898,8 +922,8 @@ class TestParamsRoundtrip:
 def _json_oracle(system, head):
     """The v1 parameter document rendered by ``json`` itself, arrays as lists."""
     doc = {"format": "layerfuse-params", "version": 1, "system": system.describe(), "gate": None}
-    gate = [(f"gate.{n}", getattr(o, a)) for n, o, a in system.state()]
-    for dotted, value in [*gate, ("head.weight", head.weight), ("head.bias", head.bias)]:
+    stored = [(n, getattr(o, a)) for n, o, a in system.state()]
+    for dotted, value in [*stored, ("head.weight", head.weight), ("head.bias", head.bias)]:
         *parents, leaf = dotted.split(".")
         node = doc
         for key in parents:
@@ -931,14 +955,11 @@ _PARAM_VALUES = st.one_of(
     width=st.sampled_from([1, 2, 3, 5, 7]),  # reduction 4: below it, and odd
     variant=st.sampled_from(["full", "global", "local"]),
     mode=st.sampled_from(["sigmoid", "literal"]),
-    baseline=st.booleans(),
+    kind=st.sampled_from(sorted(EXAMPLES)),
     data=st.data(),
 )
-def test_params_writer_matches_json_oracle(tmp_path_factory, width, variant, mode, baseline, data):
-    if baseline:
-        system = BaselineSystem(upper=2)
-    else:
-        system = build_fusion_system(LayerPair(1, 2), width, variant=variant, mode=mode, seed=0)
+def test_params_writer_matches_json_oracle(tmp_path_factory, width, variant, mode, kind, data):
+    system = EXAMPLES[kind](width, variant, mode)
     head = init_head(width, 3, seed=0)
     state = [*(getattr(o, a) for _, o, a in system.state()), head.weight, head.bias]
     for value in state:

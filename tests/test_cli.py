@@ -274,6 +274,16 @@ def test_train_baseline(workspace, tmp_path):
     doc = json.loads(params.read_text())
     assert doc["system"]["kind"] == "baseline"
     assert doc["gate"] is None
+    config = json.loads((tmp_path / "base.json.manifest.json").read_text())["config"]
+    assert (config["variant"], config["gate_mode"]) == (None, None)
+
+
+def test_train_manifest_records_the_gate_flags(workspace, tmp_path):
+    params = tmp_path / "d1.json"
+    assert main(["train", "--src", str(workspace / "src.bank"), "--lower", "1", "--variant", "local",
+                 "--gate-mode", "literal", "--epochs", "0", "--out", str(params)]) == 0
+    config = json.loads((tmp_path / "d1.json.manifest.json").read_text())["config"]
+    assert (config["variant"], config["gate_mode"]) == ("local", "literal")
 
 
 def test_cossim_stdout_table(workspace, capsys, tmp_path):
