@@ -29,7 +29,7 @@ from .training import (
     TrainConfig,
     evaluate,
     layer_sweep,
-    sweep_row,
+    sweep_rows,
     train,
 )
 
@@ -247,14 +247,13 @@ def _cmd_sweep(args):
 
 def _cmd_ablate(args):
     (source, target), cfg, upper = _run_setup(args)
+    cells = [(args.lower, variant, replace(cfg, seed=seed)) for variant in VARIANTS for seed in args.seeds]
+    rows = sweep_rows(source, target, cells, upper, args.gate_mode)
     # The metric columns are the SweepRow fields after config and lower.
     columns = ["variant", "seed", *(f.name for f in fields(SweepRow)[2:])]
-    table, means = [], {}
-    for variant in VARIANTS:
-        rows = [sweep_row(source, target, args.lower, upper, variant, args.gate_mode, replace(cfg, seed=seed))
-                for seed in args.seeds]
-        table += [(variant, seed, *astuple(row)[2:]) for seed, row in zip(args.seeds, rows)]
-        means[variant] = sum(row.target_accuracy for row in rows) / len(rows)
+    table = [(variant, run_cfg.seed, *astuple(row)[2:]) for (_, variant, run_cfg), row in zip(cells, rows)]
+    means = {variant: sum(row.target_accuracy for (_, name, _), row in zip(cells, rows) if name == variant)
+             / len(args.seeds) for variant in VARIANTS}
     table += [(variant, "mean", None, None, means[variant], None) for variant in VARIANTS]
     Path(args.report).write_text(render_csv(columns, table), encoding="utf-8")
     for variant in VARIANTS:
@@ -264,7 +263,8 @@ def _cmd_ablate(args):
         "upper": upper,
         "gate_mode": args.gate_mode,
         "seeds": list(args.seeds),
-        "train": cfg.__dict__,
+        # No row trains at the config's own seed, only at one of --seeds.
+        "train": {name: value for name, value in cfg.__dict__.items() if name != "seed"},
     }
     return config, [args.report], 0
 

@@ -185,6 +185,8 @@ def classification_pipeline(
     for name, size in zip(("batch", "tokens", "channels"), shape):
         if size < 1:
             raise ValueError(f"{name} must be at least 1, got {size}")
+    if classes < 2:
+        raise ValueError(f"classes must be at least 2, got {classes}")
     rng = rng_stream(seed, STREAM_CHECK)
     batch, tokens, channels = shape
     l1 = Tensor(rng.normal(size=shape))

@@ -267,7 +267,7 @@ class SweepReport:
     rows: list
 
 
-def sweep_row(source, target, lower, upper, variant, mode, cfg):
+def sweep_row(source, target, upper, mode, lower, variant, cfg):
     """Train on ``source`` and score the test splits of both banks.
 
     The row is the baseline when ``lower`` is None, else the system fusing
@@ -298,8 +298,23 @@ def _adopt_runner(run):
     _runner = run
 
 
-def _run_row(lower):
-    return _runner(lower)
+def _run_row(cell):
+    return _runner(*cell)
+
+
+def sweep_rows(source, target, cells, upper, mode, jobs=1):
+    """One ``sweep_row`` per cell ``(lower, variant, cfg)``, in order, all at ``upper`` and ``mode``;
+    ``jobs`` > 1 computes the cells in worker processes with identical results."""
+    run = functools.partial(sweep_row, source, target, upper, mode)
+    if jobs <= 1:
+        return [run(*cell) for cell in cells]
+    # The pool starts every worker up front, so never more than there are
+    # cells.  Each worker receives ``run`` and its banks once, at start-up
+    # (inherited, not pickled, under fork); a task is just a cell.
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(jobs, len(cells)), initializer=_adopt_runner, initargs=(run,)
+    ) as pool:
+        return list(pool.map(_run_row, cells))
 
 
 def layer_sweep(source, target, layers, cfg, variant="full", mode="sigmoid", upper=None, jobs=1):
@@ -318,18 +333,6 @@ def layer_sweep(source, target, layers, cfg, variant="full", mode="sigmoid", upp
     for layer in wanted:
         if not 1 <= layer <= upper:
             raise DataError(f"sweep layer {layer} outside 1..{upper}")
-    run = functools.partial(
-        sweep_row, source, target, upper=upper, variant=variant, mode=mode, cfg=cfg
-    )
-    lowers = [None, *wanted]
-    if jobs <= 1:
-        rows = [run(lower) for lower in lowers]
-    else:
-        # The pool starts every worker up front, so never more than there are
-        # rows.  Each worker receives ``run`` and its banks once, at start-up
-        # (inherited, not pickled, under fork); a task is just a layer index.
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, len(lowers)), initializer=_adopt_runner, initargs=(run,)
-        ) as pool:
-            rows = list(pool.map(_run_row, lowers))
+    cells = [(lower, variant, cfg) for lower in [None, *wanted]]
+    rows = sweep_rows(source, target, cells, upper, mode, jobs)
     return SweepReport(upper=upper, variant=variant, mode=mode, seed=cfg.seed, rows=rows)

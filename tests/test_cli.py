@@ -306,6 +306,9 @@ def test_ablate(workspace, tmp_path):
     lines = report.read_text().strip().splitlines()
     assert lines[0].startswith("variant,seed")
     assert sum(1 for line in lines if line.startswith("full,")) == 3  # 2 seeds + mean
+    # Every row trains at one of --seeds, so the recorded train config holds no seed of its own.
+    config = json.loads((tmp_path / "ablate.csv.manifest.json").read_text())["config"]
+    assert config["seeds"] == [0, 1] and config["train"]["epochs"] == 1 and "seed" not in config["train"]
 
 
 # Each training command that reads --tgt, its output flags naming files "{out}.<suffix>".
@@ -399,10 +402,13 @@ def test_gradcheck_failure_exits_nonzero(tmp_path, capsys):
     ("--batch", "0", "batch must be at least 1, got 0"),
     ("--tokens", "0", "tokens must be at least 1, got 0"),
     ("--channels", "0", "channels must be at least 1, got 0"),
+    ("--classes", "0", "classes must be at least 2, got 0"),
+    ("--classes", "1", "classes must be at least 2, got 1"),
 ])
 def test_gradcheck_refuses_an_argument_that_cannot_judge(tmp_path, monkeypatch, capsys, flag, value, message):
     # An infinite rtol passes every check and a NaN one fails every check;
-    # a non-finite step or an empty shape leaves no finite objective.
+    # a non-finite step or an empty shape leaves no finite objective, and
+    # fewer than two classes leave no classifier to check.
     monkeypatch.chdir(tmp_path)
     assert main(["gradcheck", flag, value]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -732,7 +738,7 @@ def test_ablate_csv_bytes(monkeypatch, tmp_path, capsys):
     # of the report, mean rows included, are pinned.
     target = {0: 0.5, 1: 1 / 3}
 
-    def fixed_row(source, target_bank, lower, upper, variant, mode, cfg):
+    def fixed_row(source, target_bank, upper, mode, lower, variant, cfg):
         share = {"full": 1.0, "global": 0.5, "local": 0.25}[variant]
         return SweepRow(f"D_{lower}", lower, share, share / 3, target[cfg.seed] * share,
                         0.1 * cfg.seed)
@@ -741,7 +747,7 @@ def test_ablate_csv_bytes(monkeypatch, tmp_path, capsys):
     # with a test sentence, labelled 1 so the source has two classes.
     stub = LayerBank(layers=[np.zeros((1, 1, 1))] * 2, labels=[1], languages=["a"], splits=["test"])
     monkeypatch.setattr(cli, "read_bank", lambda path: stub)
-    monkeypatch.setattr(cli, "sweep_row", fixed_row)
+    monkeypatch.setattr(training, "sweep_row", fixed_row)
     report = tmp_path / "ablate.csv"
     rc = main(["ablate", "--src", "s.bank", "--tgt", "t.bank", "--lower", "1", "--upper", "2",
                "--seeds", "0,1", "--report", str(report)])

@@ -6,14 +6,17 @@ from dataclasses import replace
 
 import pytest
 
-from layerfuse import DataError, SyntheticTaskSpec, TrainConfig, generate_task, layer_sweep
+from layerfuse import VARIANTS, DataError, SyntheticTaskSpec, TrainConfig, generate_task, layer_sweep
 from layerfuse.analysis import emit_report
+from layerfuse.training import sweep_row, sweep_rows
 
 SMALL = SyntheticTaskSpec(
     train_sentences=48, test_sentences=24, channels=8, latent_dim=4,
     tokens=4, n_layers=4, invariance=(0.9, 0.6, 0.3, 0.1), seed=7,
 )
 CFG = TrainConfig(seed=7, epochs=2)
+# An ablation's grid of cells: every variant at seeds 7 and 8, at one layer.
+ABLATION = [(2, variant, replace(CFG, seed=seed)) for variant in VARIANTS for seed in (7, 8)]
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +28,13 @@ def banks():
 def report(banks):
     source, target = banks
     return layer_sweep(source, target, range(1, 5), CFG)
+
+
+@pytest.fixture(scope="module")
+def ablation(banks):
+    """The ablation's rows, each from a single ``sweep_row`` of its cell."""
+    source, target = banks
+    return [sweep_row(source, target, 4, "sigmoid", *cell) for cell in ABLATION]
 
 
 def test_row_count_and_order(report):
@@ -57,10 +67,13 @@ def test_sweep_deterministic(banks, report):
     assert emit_report(again, "csv") == emit_report(report, "csv")
 
 
-def test_parallel_rows_identical(banks, report):
+def test_parallel_rows_identical(banks, report, ablation):
     source, target = banks
     parallel = layer_sweep(source, target, range(1, 5), CFG, jobs=2)
     assert emit_report(parallel, "csv") == emit_report(report, "csv")
+    # repr tells every float apart bit for bit.
+    for jobs in (1, 2):
+        assert repr(sweep_rows(source, target, ABLATION, 4, "sigmoid", jobs)) == repr(ablation)
 
 
 def test_pool_capped_at_row_count(banks, report, monkeypatch):
@@ -89,7 +102,7 @@ def test_pool_capped_at_row_count(banks, report, monkeypatch):
     assert emit_report(pooled, "csv") == emit_report(report, "csv")
 
 
-def test_pool_tasks_carry_no_bank(banks, report, monkeypatch):
+def test_pool_tasks_carry_no_bank(banks, report, ablation, monkeypatch):
     # Each task crosses a pickle round trip, as it would to a worker; the
     # banks reach the workers once, through the initializer.
     task_bytes = []
@@ -112,8 +125,9 @@ def test_pool_tasks_carry_no_bank(banks, report, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
     source, target = banks
     pooled = layer_sweep(source, target, range(1, 5), CFG, jobs=2)
-    assert len(task_bytes) == len(report.rows) and max(task_bytes) < 1024
     assert emit_report(pooled, "csv") == emit_report(report, "csv")
+    assert repr(sweep_rows(source, target, ABLATION, 4, "sigmoid", jobs=2)) == repr(ablation)
+    assert len(task_bytes) == len(report.rows) + len(ABLATION) and max(task_bytes) < 1024
 
 
 def test_layer_out_of_range(banks):
