@@ -186,10 +186,8 @@ def _cmd_fuse(args):
     # Filled one chunk at a time; each value is rounded once from float64, as
     # write_bank rounds a float64 layer.
     fused = np.empty(bank.shape, np.float32)
-    start = 0
-    for chunk in eval_chunks(system, bank, np.arange(bank.shape[0])):
-        fused[start:start + len(chunk)] = chunk
-        start += len(chunk)
+    for part, chunk in eval_chunks(system, bank, np.arange(bank.shape[0])):
+        fused[part] = chunk
     write_bank(replace(bank, layers=[fused]), args.out)
     print(f"wrote fused bank {args.out} ({system.config_id()})")
     config = {"system": system.config_id(), "bank": str(args.bank)}
@@ -247,13 +245,14 @@ def _cmd_sweep(args):
 
 def _cmd_ablate(args):
     (source, target), cfg, upper = _run_setup(args)
-    cells = [(args.lower, variant, replace(cfg, seed=seed)) for variant in VARIANTS for seed in args.seeds]
+    seeds = list(dict.fromkeys(args.seeds))  # each seed once, in first-seen order
+    cells = [(args.lower, variant, replace(cfg, seed=seed)) for variant in VARIANTS for seed in seeds]
     rows = sweep_rows(source, target, cells, upper, args.gate_mode)
     # The metric columns are the SweepRow fields after config and lower.
     columns = ["variant", "seed", *(f.name for f in fields(SweepRow)[2:])]
     table = [(variant, run_cfg.seed, *astuple(row)[2:]) for (_, variant, run_cfg), row in zip(cells, rows)]
     means = {variant: sum(row.target_accuracy for (_, name, _), row in zip(cells, rows) if name == variant)
-             / len(args.seeds) for variant in VARIANTS}
+             / len(seeds) for variant in VARIANTS}
     table += [(variant, "mean", None, None, means[variant], None) for variant in VARIANTS]
     Path(args.report).write_text(render_csv(columns, table), encoding="utf-8")
     for variant in VARIANTS:
@@ -262,7 +261,7 @@ def _cmd_ablate(args):
         "lower": args.lower,
         "upper": upper,
         "gate_mode": args.gate_mode,
-        "seeds": list(args.seeds),
+        "seeds": seeds,
         # No row trains at the config's own seed, only at one of --seeds.
         "train": {name: value for name, value in cfg.__dict__.items() if name != "seed"},
     }

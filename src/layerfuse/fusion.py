@@ -13,7 +13,7 @@ from .gate import (
     init_gate_params,
 )
 from .seeding import STREAM_HEAD, rng_stream
-from .tensor import (CHUNK_VALUES, DimensionError, Tensor, broadcast_add, conv1x1, mean_pool_tokens,
+from .tensor import (DimensionError, Tensor, _row_slices, broadcast_add, conv1x1, mean_pool_tokens,
                      mix, parameter, scale, sub)
 
 
@@ -148,27 +148,25 @@ KINDS = {cls.kind: cls for cls in (FusionSystem, BaselineSystem)}
 
 
 def eval_chunks(system, bank, rows):
-    """Yield the eval-mode output of ``system`` on ``rows``, one chunk of rows at a time.
+    """Yield (part, chunk): the eval-mode output of ``system`` on ``rows[part]``, one slice of ``rows`` at a time.
 
-    Each chunk has max(1, CHUNK_VALUES // (tokens * channels)) rows, so a
-    forward's intermediates stay bounded whatever the row count: a chunk's
-    graph sets the eval peak.  Eval mode has no term across sentences
-    (normalization applies its running statistics; pooling and the
-    convolutions act per sentence), so the chunks concatenated equal one
-    forward over all of ``rows``, bit for bit.  Each chunk's graph is freed
-    before the next one is built.
+    ``tensor._row_slices`` cuts ``rows`` as it cuts an op's rows, at
+    ``tensor.CHUNK_VALUES`` values of one layer, so a forward's intermediates
+    stay bounded whatever the row count: a chunk's graph sets the eval peak.
+    Eval mode has no term across sentences (normalization applies its
+    running statistics; pooling and the convolutions act per sentence), so
+    the chunks concatenated equal one forward over all of ``rows``, bit for
+    bit.  Each chunk's graph is freed before the next one is built.
     """
     rows = np.asarray(rows)
-    _, tokens, channels = bank.shape
-    size = max(1, CHUNK_VALUES // (tokens * channels))
-    for start in range(0, rows.size, size):
-        yield system.fused_batch(bank, rows[start:start + size], training=False).data
+    for part in _row_slices((rows.size, *bank.shape[1:])):
+        yield part, system.fused_batch(bank, rows[part], training=False).data
 
 
 def sentence_embeddings(system, bank, rows):
     """Mean-pooled system output per sentence, (rows, channels), in eval mode one chunk of rows at a time."""
     return np.concatenate([mean_pool_tokens(Tensor(fused)).data[:, 0, :]
-                           for fused in eval_chunks(system, bank, rows)])
+                           for _, fused in eval_chunks(system, bank, rows)])
 
 
 def stored_values(system, head):

@@ -6,7 +6,7 @@ import numpy as np
 
 from .fusion import build_system, init_head, stored_values, trainable
 from .seeding import STREAM_CHECK, rng_stream
-from .tensor import Tensor, _topological_order, backward
+from .tensor import Tensor, _row_slices, _topological_order, backward
 from .training import sentence_loss
 
 
@@ -68,8 +68,9 @@ class GradCheckReport:
 PROBE_CHUNK_VALUES = 2**16
 
 
-def _losses(loss_fn, name, p, entries, step, size):
-    """The objective with each of ``entries`` moved by ``step``: one ``loss_fn`` call per ``size`` entries.
+def _losses(loss_fn, name, p, entries, step, largest):
+    """The objective with each of ``entries`` moved by ``step``: one ``loss_fn`` call per slice of
+    ``entries`` that ``_row_slices`` cuts at PROBE_CHUNK_VALUES over ``largest`` values a probe.
 
     For each call ``p.data`` is the chunk's stack of perturbed copies, padded
     to rank 3 behind the probe axis; the same array object comes back after.
@@ -78,7 +79,8 @@ def _losses(loss_fn, name, p, entries, step, size):
     flat = kept.reshape(-1)
     losses = []
     try:
-        for chunk in np.split(entries, range(size, entries.size, size)):
+        for part in _row_slices((entries.size, largest), PROBE_CHUNK_VALUES):
+            chunk = entries[part]
             stacked = np.repeat(flat[np.newaxis], chunk.size, axis=0)
             stacked[np.arange(chunk.size), chunk] = flat[chunk] + step
             p.data = stacked.reshape((chunk.size,) + (1,) * (3 - kept.ndim) + kept.shape)
@@ -93,10 +95,10 @@ def _losses(loss_fn, name, p, entries, step, size):
     return np.concatenate(losses)
 
 
-def _errors(loss_fn, name, p, entries, reverse, step, size):
+def _errors(loss_fn, name, p, entries, reverse, step, largest):
     """(relative?, error) of each entry's reverse-mode gradient against a central difference."""
-    upper = _losses(loss_fn, name, p, entries, step, size)
-    lower = _losses(loss_fn, name, p, entries, -step, size)
+    upper = _losses(loss_fn, name, p, entries, step, largest)
+    lower = _losses(loss_fn, name, p, entries, -step, largest)
     finite = np.isfinite(upper) & np.isfinite(lower)
     if not finite.all():
         raise EvaluationError(
@@ -139,16 +141,13 @@ def finite_difference_check(loss_fn, params, step=1e-5, rtol=1e-4):
     loss = loss_fn()
     if not np.isfinite(loss.data).all():
         raise EvaluationError("non-finite objective at the unperturbed parameters, before any probe")
-    size = max(1, PROBE_CHUNK_VALUES // max(node.size for node in _topological_order(loss)))
+    largest = max(node.size for node in _topological_order(loss))
     backward(loss, wrt=params.values())
-    recorded = {
-        name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-        for name, p in params.items()
-    }
     checks = []
     for name, p in params.items():
-        reverse = recorded[name].reshape(-1)
-        relative, errors = _errors(loss_fn, name, p, np.arange(reverse.size), reverse, step, size)
+        # No probe runs backward, so each gradient stays as this one left it.
+        reverse = np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1)
+        relative, errors = _errors(loss_fn, name, p, np.arange(reverse.size), reverse, step, largest)
         worst = int(np.argmax(errors))
         passed = bool(errors[worst] <= rtol)
         checks.append(
@@ -159,7 +158,7 @@ def finite_difference_check(loss_fn, params, step=1e-5, rtol=1e-4):
                 worst_index=worst,
                 passed=passed,
                 reprobe_error=None if passed else _errors(
-                    loss_fn, name, p, np.array([worst]), reverse[worst:worst + 1], step / 10, 1)[1][0],
+                    loss_fn, name, p, np.array([worst]), reverse[worst:worst + 1], step / 10, largest)[1][0],
             )
         )
     return GradCheckReport(step=step, rtol=rtol, parameters=checks)

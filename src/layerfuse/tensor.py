@@ -55,8 +55,8 @@ __all__ = [
 SIGMOID_CEIL = float(np.nextafter(1.0, 0.0))
 SIGMOID_FLOOR = float(np.nextafter(0.0, 1.0))
 
-# Values per slice of a backward's second factor, and per eval chunk of rows
-# (``fusion.eval_chunks``): 1 MiB of float64, unless one row holds more.
+# Values per slice of rows that ``_row_slices`` cuts by default: an op's slice
+# and an eval chunk (``fusion.eval_chunks``), 1 MiB of float64, unless one row holds more.
 CHUNK_VALUES = 2**17
 
 
@@ -214,9 +214,9 @@ def _require_rank3(op, *tensors):
             )
 
 
-def _row_slices(shape):
-    """Slices of the first axis of ``shape``: at most CHUNK_VALUES values, at least one row each."""
-    rows = max(1, CHUNK_VALUES // max(1, math.prod(shape[1:])))
+def _row_slices(shape, budget=None):
+    """Slices of the first axis of ``shape``: at most ``budget`` (or CHUNK_VALUES) values, at least one row each."""
+    rows = max(1, (CHUNK_VALUES if budget is None else budget) // max(1, math.prod(shape[1:])))
     return [slice(start, start + rows) for start in range(0, shape[0], rows)]
 
 

@@ -144,9 +144,20 @@ class TestProbe:
         assert forwards == []
 
     def test_no_targets_rejected(self, banks):
-        source, _ = banks
+        source, target = banks
         with pytest.raises(DataError):
             avg_cross_lingual_similarity(BaselineSystem(upper=3), source, [])
+        with pytest.raises(DataError, match="^source bank has no sentences in the 'dev' split$"):
+            avg_cross_lingual_similarity(BaselineSystem(upper=3), source, [target], split="dev")
+        for pairs in (0, -1):
+            with pytest.raises(DataError, match="^pairs must be at least 1$"):
+                avg_cross_lingual_similarity(BaselineSystem(upper=3), source, [target], pairs=pairs)
+
+    def test_two_targets_of_one_language_are_numbered(self, banks):
+        source, target = banks
+        report = avg_cross_lingual_similarity(BaselineSystem(upper=3), source, [target, target])
+        assert list(report.per_language) == ["tgt", "tgt.1"]
+        assert report.per_language["tgt"] == report.per_language["tgt.1"]
 
 
 def _sweep_report():

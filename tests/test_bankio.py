@@ -744,6 +744,11 @@ class TestLayerBankValidation:
                 layers=[np.zeros((2, 2, 2)), np.zeros((2, 3, 2))],
                 labels=np.zeros(2, dtype=int), languages=["a", "a"], splits=["t", "t"],
             )
+        manifest = {"labels": np.zeros(2, dtype=int), "languages": ["a", "a"], "splits": ["t", "t"]}
+        with pytest.raises(DataError, match="^a bank needs at least one layer$"):
+            LayerBank(layers=[], **manifest)
+        with pytest.raises(DataError, match=r"^bank layers must be \(sentences, tokens, channels\), got \(2, 4\)$"):
+            LayerBank(layers=[np.zeros((2, 4))], **manifest)
 
     def test_manifest_lengths(self):
         with pytest.raises(DataError, match="languages"):

@@ -286,6 +286,21 @@ def test_train_manifest_records_the_gate_flags(workspace, tmp_path):
     assert (config["variant"], config["gate_mode"]) == ("local", "literal")
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("inspect-bank", ["--bank", "{src}"]),
+    ("gradcheck", ["--channels", "8"]),
+    ("cossim", ["--src", "{src}", "--tgt", "{tgt}", "--baseline", "--pairs", "8"]),
+])
+def test_command_without_an_output_file_writes_its_manifest_in_the_working_directory(
+        workspace, tmp_path, monkeypatch, capsys, command, flags):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *(flag.format(src=workspace / "src.bank", tgt=workspace / "tgt.bank") for flag in flags)]
+    assert main(argv) == 0
+    assert [path.name for path in tmp_path.iterdir()] == [f"{command}.manifest.json"]
+    manifest = json.loads((tmp_path / f"{command}.manifest.json").read_text())
+    assert (manifest["subcommand"], manifest["argv"], manifest["outputs"]) == (command, argv, [])
+
+
 def test_cossim_stdout_table(workspace, capsys, tmp_path):
     rc = main([
         "cossim", "--src", str(workspace / "src.bank"), "--tgt", str(workspace / "tgt.bank"),
@@ -309,6 +324,18 @@ def test_ablate(workspace, tmp_path):
     # Every row trains at one of --seeds, so the recorded train config holds no seed of its own.
     config = json.loads((tmp_path / "ablate.csv.manifest.json").read_text())["config"]
     assert config["seeds"] == [0, 1] and config["train"]["epochs"] == 1 and "seed" not in config["train"]
+
+
+def test_ablate_takes_a_repeated_seed_once(workspace, tmp_path, capsys):
+    written = {}
+    for seeds in ("0,0,1", "0,1"):
+        report = tmp_path / f"{seeds}.csv"
+        assert main(["ablate", "--src", str(workspace / "src.bank"), "--tgt", str(workspace / "tgt.bank"),
+                     "--lower", "1", "--seeds", seeds, "--epochs", "1", "--report", str(report)]) == 0
+        config = json.loads(Path(f"{report}.manifest.json").read_text())["config"]
+        written[seeds] = report.read_bytes(), capsys.readouterr(), config["seeds"]
+    assert written["0,0,1"] == written["0,1"]
+    assert written["0,1"][2] == [0, 1]
 
 
 # Each training command that reads --tgt, its output flags naming files "{out}.<suffix>".

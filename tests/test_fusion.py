@@ -30,6 +30,7 @@ from layerfuse import (
     write_bank,
 )
 from layerfuse import fusion
+from layerfuse import tensor as tensor_module
 from layerfuse.cli import main
 from layerfuse.fusion import FusionSystem, eval_chunks, stored_values
 from layerfuse.gate import gate_forward
@@ -57,6 +58,12 @@ class TestLayerPair:
 def test_baseline_refuses_a_layer_below_one(upper):
     with pytest.raises(ValueError, match=f"^baseline needs upper >= 1, got {upper}$"):
         BaselineSystem(upper=upper)
+
+
+@pytest.mark.parametrize("channels, classes", [(0, 3), (8, 1)])
+def test_head_refuses_no_channel_or_one_class(channels, classes):
+    with pytest.raises(ValueError, match="^head needs at least one channel and two classes$"):
+        init_head(channels, classes)
 
 
 class TestFusionAlgebra:
@@ -291,10 +298,12 @@ class TestEvalChunks:
         system = self._system(lower, variant, mode)
         rows = np.arange(bank.shape[0])[::-1]
         whole = system.fused_batch(bank, rows, training=False).data
-        monkeypatch.setattr(fusion, "CHUNK_VALUES", values)
-        chunks = list(eval_chunks(system, bank, rows))
+        monkeypatch.setattr(tensor_module, "CHUNK_VALUES", values)
+        parts, chunks = zip(*eval_chunks(system, bank, rows))
         size = max(1, values // self.ROW_VALUES)
         assert [len(chunk) for chunk in chunks] == [len(rows[i:i + size]) for i in range(0, len(rows), size)]
+        # The parts tile the positions of ``rows`` in order.
+        assert [i for part in parts for i in range(len(rows))[part]] == list(range(len(rows)))
         assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
     @staticmethod
@@ -304,7 +313,7 @@ class TestEvalChunks:
             def fused_batch(self, bank, rows, training=False):
                 return Tensor(rows)
 
-        return [len(chunk) for chunk in eval_chunks(Rows(), SimpleNamespace(shape=shape), rows)]
+        return [len(chunk) for _, chunk in eval_chunks(Rows(), SimpleNamespace(shape=shape), rows)]
 
     # A row of more than 2**16 values, as at the encoder shape (128, 768), is
     # evaluated alone; a row of exactly 2**16 values shares its chunk.
@@ -339,10 +348,10 @@ class TestEvalChunks:
         write_bank(bank, bank_path)
         save_params(system, init_head(8, bank.num_classes, seed=2), params)
         # The default chunk holds every row of this bank.
-        assert fusion.CHUNK_VALUES >= 23 * self.ROW_VALUES
+        assert tensor_module.CHUNK_VALUES >= 23 * self.ROW_VALUES
         one = self._eval_outputs(system, bank, bank_path, params, tmp_path / "one.bank")
         for values in self.CHUNK_VALUES:
-            monkeypatch.setattr(fusion, "CHUNK_VALUES", values)
+            monkeypatch.setattr(tensor_module, "CHUNK_VALUES", values)
             assert self._eval_outputs(system, bank, bank_path, params, tmp_path / f"{values}.bank") == one
 
     def test_eval_callers_never_exceed_one_chunk(self, monkeypatch, tmp_path):
@@ -359,7 +368,7 @@ class TestEvalChunks:
 
         for cls in (FusionSystem, BaselineSystem):
             monkeypatch.setattr(cls, "fused_batch", recording(cls.fused_batch))
-        monkeypatch.setattr(fusion, "CHUNK_VALUES", 2 * self.ROW_VALUES)
+        monkeypatch.setattr(tensor_module, "CHUNK_VALUES", 2 * self.ROW_VALUES)
         files = ["--src", str(bank_path), "--tgt", str(tgt_path)]
         for which in (["--lower", "1"], ["--baseline"]):
             params = tmp_path / "params.json"

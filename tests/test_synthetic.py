@@ -89,6 +89,9 @@ def test_spec_validation_errors():
         SyntheticTaskSpec(channels=0)
     with pytest.raises(TaskSpecError):
         SyntheticTaskSpec(latent_dim=0)
+    for split in ("train_sentences", "test_sentences"):
+        with pytest.raises(TaskSpecError, match="^both splits need at least one sentence$"):
+            SyntheticTaskSpec(**{split: 0})
     with pytest.raises(TaskSpecError):
         SyntheticTaskSpec(invariance=(0.5,))
     with pytest.raises(TaskSpecError):

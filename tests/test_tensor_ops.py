@@ -17,6 +17,7 @@ from layerfuse import (
     conv1x1,
     elementwise_mul,
     mean_pool_tokens,
+    mix,
     parameter,
     relu,
     sigmoid,
@@ -105,6 +106,11 @@ class TestSub:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             sub(t(np.zeros((1, 2, 2))), t(np.zeros((1, 1, 2))))
+        # mix takes its difference at the mean's shape and a weight of one token or all of them.
+        x = t(np.zeros((1, 2, 2)))
+        for difference, weight in ((t(np.zeros((1, 1, 2))), x), (x, t(np.zeros((1, 2, 3))))):
+            with pytest.raises(DimensionError, match=r"^mix: incompatible shapes \(1, 2, 2\), "):
+                mix(x, difference, weight)
 
 
 class TestMeanPool:
@@ -184,6 +190,8 @@ class TestConv1x1:
     def test_kernel_row_mismatch(self):
         with pytest.raises(DimensionError, match="channels"):
             conv1x1(t(np.zeros((1, 2, 3))), parameter(np.zeros((4, 2))), parameter(np.zeros(2)))
+        with pytest.raises(DimensionError, match=r"^conv1x1 kernel must be at least 2-D, got \(3,\)$"):
+            conv1x1(t(np.zeros((1, 2, 3))), parameter(np.zeros(3)), parameter(np.zeros(3)))
 
     def test_bias_mismatch(self):
         with pytest.raises(DimensionError):
@@ -309,6 +317,8 @@ class TestBatchNorm:
     def test_state_validation(self):
         with pytest.raises(ValueError):
             BatchNormState(2, eps=0.0)
+        with pytest.raises(DimensionError, match="^batch norm needs at least one channel$"):
+            BatchNormState(0)
         with pytest.raises(ValueError):
             BatchNormState(2, momentum=1.0)
 

@@ -169,7 +169,9 @@ class TestAdamW:
         assert TrainConfig.from_dict({}) == TrainConfig()
         for doc, named in [({"seed": 1.0}, "seed"), ({"eps": None}, "eps"), ([], "JSON object"),
                            ({"epochs": -1}, "epochs"), ({"eps": 0}, "eps"),
-                           ({"weight_decay": -0.5}, "weight_decay")]:
+                           ({"weight_decay": -0.5}, "weight_decay"),
+                           ({"beta1": 1.0}, r"^beta1 and beta2 must lie in \[0, 1\)$"),
+                           ({"beta2": -0.1}, r"^beta1 and beta2 must lie in \[0, 1\)$")]:
             with pytest.raises(ValueError, match=named):
                 TrainConfig.from_dict(doc)
 
@@ -334,6 +336,22 @@ class TestTrainLoop:
             ValueError, match=f"^training diverged: non-finite {named} at epoch 1, batch 1$"
         ):
             train(system, head, bank, cfg)
+
+    @pytest.mark.parametrize("nan_layer, lower", [(1, 1), (2, None)])
+    def test_nan_loss_refused_before_any_step(self, nan_layer, lower):
+        # read_bank refuses a NaN, so in-memory banks carry one: a NaN channel
+        # in the fused lower layer, or in the top layer under the baseline.
+        rng = np.random.default_rng(4)
+        layers = [rng.normal(size=(8, 4, 8)) for _ in range(2)]
+        layers[nan_layer - 1][:, :, 0] = np.nan
+        bank = LayerBank(layers=layers, labels=np.arange(8) % 2, languages=["src"] * 8, splits=["train"] * 8)
+        system = BaselineSystem(upper=2) if lower is None else build_fusion_system(LayerPair(lower, 2), 8, seed=0)
+        head = init_head(8, 2, seed=0)
+        before = {n: t.data.copy() for n, t in trainable(stored_values(system, head)).items()}
+        with pytest.raises(ValueError, match=r"^training diverged: loss nan at epoch 1, batch 1$"):
+            train(system, head, bank, TrainConfig())
+        for name, tensor in trainable(stored_values(system, head)).items():
+            npt.assert_array_equal(tensor.data, before[name])
 
     def test_pair_outside_bank_rejected(self, small_banks):
         source, _ = small_banks
