@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import KINDS, ClassifierHead, stored_values
+from .fusion import KINDS, ClassifierHead, stored_arrays, stored_values
 from .tensor import BatchNormState, Tensor, parameter
 
 MAGIC = b"DLFB"
@@ -329,8 +329,7 @@ def save_params(system, head, path):
     rendered with full shortest-roundtrip precision, so reloading reproduces
     every value bit-exactly; a non-finite value is an error naming its path.
     """
-    values = ((name, getattr(owner, attribute)) for name, owner, attribute in stored_values(system, head))
-    named = {name: value.data if isinstance(value, Tensor) else value for name, value in values}
+    named = dict(stored_arrays(system, head))
     for name, value in named.items():
         if not np.isfinite(value).all():
             raise ValueError(f"{path}: refusing to write non-finite parameter {name}")

@@ -1,9 +1,10 @@
 """Command-line front end: every experiment protocol as one subcommand.
 
-Each run writes a JSON run-manifest next to its primary output (override
-with --manifest) recording the resolved configuration, seeds, input/output
-checksums, duration and peak memory; re-running the recorded argv reproduces
-the outputs byte-identically.
+Each run writes a JSON run-manifest next to its primary output, or as
+``<command>.manifest.json`` in the working directory when it writes no
+output file (override with --manifest), recording the resolved
+configuration, seeds, input/output checksums, duration and peak memory;
+re-running the recorded argv reproduces the outputs byte-identically.
 """
 
 import argparse

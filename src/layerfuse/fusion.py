@@ -41,7 +41,11 @@ def fuse_layers(l1, l2, params, mode="sigmoid", variant="full", training=False):
     in "literal" mode.  Only the trailing (batch, tokens, channels) dims must
     match: leading axes broadcast, as in every op.
     """
-    return _gated_mix(*_mean_and_difference(l1, l2), params, mode, variant, training)
+    mean, difference = _mean_and_difference(l1, l2)
+    weight = gate_forward(mean, params, mode, variant, training)
+    # Evaluated as mean + (l1 - l2) * (g - 1/2): equal inputs and a gate of
+    # exactly one half then reproduce l1 and the arithmetic mean bit-exactly.
+    return mix(mean, difference, weight), weight
 
 
 def _mean_and_difference(l1, l2):
@@ -56,13 +60,6 @@ def _mean_and_difference(l1, l2):
             f"fuse_layers: layer shapes differ, {l1.data.shape} vs {l2.data.shape}"
         )
     return scale(broadcast_add(l1, l2), 0.5), sub(l1, l2)
-
-
-def _gated_mix(mean, difference, params, mode, variant, training):
-    weight = gate_forward(mean, params, mode, variant, training)
-    # Evaluated as mean + (l1 - l2) * (g - 1/2): equal inputs and a gate of
-    # exactly one half then reproduce l1 and the arithmetic mean bit-exactly.
-    return mix(mean, difference, weight), weight
 
 
 @dataclass
@@ -112,7 +109,7 @@ class FusionSystem:
         # Not ``self.forward``, which would keep the float64 layer copies alive through the gate.
         mean, difference = _mean_and_difference(Tensor(bank.layer(self.pair.lower)[rows]),
                                                 Tensor(bank.layer(self.pair.upper)[rows]))
-        return _gated_mix(mean, difference, self.params, self.mode, self.variant, training)[0]
+        return mix(mean, difference, gate_forward(mean, self.params, self.mode, self.variant, training))
 
 
 @dataclass
@@ -177,6 +174,13 @@ def stored_values(system, head):
     yield from system.state()
     yield "head.weight", head, "weight"
     yield "head.bias", head, "bias"
+
+
+def stored_arrays(system, head):
+    """The ``stored_values`` walk as (dotted name, array), a tensor's ``.data`` in place of the tensor."""
+    for name, owner, attribute in stored_values(system, head):
+        value = getattr(owner, attribute)
+        yield name, value.data if isinstance(value, Tensor) else value
 
 
 def trainable(walk):

@@ -185,12 +185,10 @@ def backward(loss, seed=1.0, wrt=None):
             f"backward requires a scalar loss, got shape {loss.data.shape}"
         )
     order = _topological_order(loss)
-    for node in order:
+    kept = order if wrt is None else [t.node for t in wrt]
+    for node in {*order, *kept}:  # a tensor of ``wrt`` that ``loss`` does not reach ends at None too
         node.grad = None
-    keep = set()
-    for node in order if wrt is None else (t.node for t in wrt):
-        node.grad = None
-        keep.add(id(node))
+    keep = set(map(id, kept))
     # ``order`` lists parents before children, so one sweep marks every
     # node that a tensor of ``wrt`` reaches.
     wanted = set(keep)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import DataError, check_document, check_fit
-from .fusion import build_system, init_head, sentence_embeddings, stored_values, trainable
+from .fusion import build_system, init_head, sentence_embeddings, stored_arrays, stored_values, trainable
 from .seeding import STREAM_BATCHES, rng_stream
 from .tensor import DegenerateBatchError, DimensionError, Tensor, _node, backward, mean_pool_tokens
 
@@ -146,14 +146,6 @@ def sentence_loss(fused, head, labels):
     return softmax_cross_entropy(head.logits(mean_pool_tokens(fused)), labels)
 
 
-def _raise_non_finite(named, epoch, batch):
-    for name, value in named.items():
-        if not np.isfinite(value.data if isinstance(value, Tensor) else value).all():
-            raise ValueError(
-                f"training diverged: non-finite {name} at epoch {epoch}, batch {batch}"
-            )
-
-
 def train(system, head, bank, cfg):
     """Minimize softmax cross-entropy on the bank's train split.
 
@@ -171,10 +163,10 @@ def train(system, head, bank, cfg):
         )
     params = trainable(stored_values(system, head))
     optimizer = AdamW(params, cfg)
-    named = {name: getattr(owner, attribute) for name, owner, attribute in stored_values(system, head)}
     # batch_norm updates the running statistics in place, so these stay
     # current; the empty leading array lets a baseline concatenate none.
-    running = [np.zeros(0), *(v for v in named.values() if isinstance(v, np.ndarray))]
+    running = [np.zeros(0), *(v for name, v in stored_arrays(system, head)
+                              if name not in params and isinstance(v, np.ndarray))]
     starts = list(range(0, train_rows.size, cfg.batch_size))
     if cfg.batch_size > 1 and train_rows.size - starts[-1] == 1:
         starts.pop()  # training-mode normalization rejects a one-row batch
@@ -204,7 +196,8 @@ def train(system, head, bank, cfg):
             # One check over the adopted parameters, one over the running statistics.
             finite = np.isfinite(optimizer.flat).all() and np.isfinite(np.concatenate(running)).all()
             if not finite:
-                _raise_non_finite(named, epoch, batch)
+                name = next(name for name, v in stored_arrays(system, head) if not np.isfinite(v).all())
+                raise ValueError(f"training diverged: non-finite {name} at epoch {epoch}, batch {batch}")
         curve.append(total / permuted.size)
     return curve
 
