@@ -1,5 +1,7 @@
 """Cross-language similarity probe and report serialization."""
 
+import csv
+import io
 import json
 from dataclasses import asdict, astuple, dataclass, fields
 
@@ -134,19 +136,15 @@ def _tabulate(report):
     return columns, [(report.model, language, report.pairs, value) for language, value in entries], doc
 
 
-def _cell(value):
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def render_csv(columns, rows):
     """CSV text: a header line, then one line per row.
 
-    None is an empty cell and a float keeps its full ``repr`` precision.
+    None is an empty cell and a float keeps its full ``repr`` precision; a
+    cell holding a comma, quote or line break is quoted (``csv.writer``).
     """
-    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([columns, *rows])
+    return out.getvalue()
 
 
 def _render_table(columns, rows):

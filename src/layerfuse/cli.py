@@ -44,7 +44,7 @@ def _parse_int_list(text):
             first, last = int(first), int(last)
             if last < first:
                 raise ValueError
-            return list(range(first, last + 1))
+            return range(first, last + 1)
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
@@ -221,7 +221,7 @@ def _cmd_sweep(args):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     (source, target), cfg, upper = _run_setup(args)
-    layers = args.layers if args.layers is not None else list(range(1, upper + 1))
+    layers = args.layers if args.layers is not None else range(1, upper + 1)
     report = layer_sweep(
         source, target, layers, cfg,
         variant=args.variant, mode=args.gate_mode, upper=upper, jobs=args.jobs,
@@ -233,7 +233,7 @@ def _cmd_sweep(args):
         outputs.append(args.json_report)
     print(emit_report(report, "table"), end="")
     config = {
-        "layers": layers,
+        "layers": list(layers),
         "upper": report.upper,
         "variant": args.variant,
         "gate_mode": args.gate_mode,

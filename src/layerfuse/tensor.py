@@ -100,10 +100,6 @@ class Tensor:
     def grad(self, value):
         self.node.grad = value
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 

@@ -314,18 +314,21 @@ def layer_sweep(source, target, layers, cfg, variant="full", mode="sigmoid", upp
     """Train and evaluate the baseline plus one fused system per lower layer.
 
     Both banks must hold layer ``upper``, the source's channels and a test
-    sentence (``check_fit``).  Every row shares the same seed protocol, so
-    the row fusing the upper layer with itself reproduces the baseline
-    exactly.  Rows are independent; ``jobs`` > 1 computes them in worker
-    processes with identical results.
+    sentence (``check_fit``).  Each of ``layers`` is checked as it is read,
+    so the first one outside ``1..upper`` is refused before anything else
+    is built.  Every row shares the same seed protocol, so the row fusing
+    the upper layer with itself reproduces the baseline exactly.  Rows are
+    independent; ``jobs`` > 1 computes them in worker processes with
+    identical results.
     """
     if upper is None:
         upper = source.n_layers
     check_fit([("source", source), ("target", target)], upper, source.shape[2], "test")
-    wanted = sorted(set(int(x) for x in layers))
-    for layer in wanted:
+    wanted = set()
+    for layer in map(int, layers):
         if not 1 <= layer <= upper:
             raise DataError(f"sweep layer {layer} outside 1..{upper}")
-    cells = [(lower, variant, cfg) for lower in [None, *wanted]]
+        wanted.add(layer)
+    cells = [(lower, variant, cfg) for lower in [None, *sorted(wanted)]]
     rows = sweep_rows(source, target, cells, upper, mode, jobs)
     return SweepReport(upper=upper, variant=variant, mode=mode, seed=cfg.seed, rows=rows)

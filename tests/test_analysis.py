@@ -153,6 +153,16 @@ class TestProbe:
             with pytest.raises(DataError, match="^pairs must be at least 1$"):
                 avg_cross_lingual_similarity(BaselineSystem(upper=3), source, [target], pairs=pairs)
 
+    def test_csv_quotes_a_language_holding_a_comma_quote_or_line_break(self, banks):
+        source, target = banks
+        tag = 'en,"US"\n'
+        odd = LayerBank(layers=target.layers, labels=target.labels,
+                        languages=[tag] * target.shape[0], splits=list(target.splits))
+        report = avg_cross_lingual_similarity(BaselineSystem(upper=3), source, [odd])
+        parsed = list(csv.reader(io.StringIO(emit_report(report, "csv"))))
+        assert [len(row) for row in parsed] == [4, 4, 4]
+        assert [row[1] for row in parsed] == ["language", tag, "all"]
+
     def test_two_targets_of_one_language_are_numbered(self, banks):
         source, target = banks
         report = avg_cross_lingual_similarity(BaselineSystem(upper=3), source, [target, target])

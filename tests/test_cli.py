@@ -395,6 +395,19 @@ def test_sweep_refuses_jobs_below_one(workspace, tmp_path, monkeypatch, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("layer", ["0", "7"])
+def test_sweep_refuses_a_layer_outside_the_bank(tmp_path, monkeypatch, capsys, layer):
+    spec = SyntheticTaskSpec(train_sentences=8, test_sentences=4, channels=4, latent_dim=2, tokens=2,
+                             n_layers=6, invariance=(0.9, 0.8, 0.7, 0.5, 0.3, 0.1), seed=3)
+    for bank, name in zip(generate_task(spec), ("src", "tgt")):
+        write_bank(bank, tmp_path / f"{name}.bank")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--src", "src.bank", "--tgt", "tgt.bank", "--layers", layer,
+                 "--report", "s.csv"]) == 1
+    assert capsys.readouterr() == ("", f"error: sweep layer {layer} outside 1..6\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["src.bank", "tgt.bank"]
+
+
 def test_gradcheck_passes(tmp_path, capsys):
     rc = main([
         "gradcheck", "--seed", "17", "--eps", "1e-5", "--rtol", "1e-4",
@@ -829,4 +842,8 @@ def test_parse_int_list_ranges(first, length):
         with pytest.raises(argparse.ArgumentTypeError, match="range"):
             cli._parse_int_list(text)
     else:
-        assert cli._parse_int_list(text) == list(range(first, first + length))
+        assert list(cli._parse_int_list(text)) == list(range(first, first + length))
+
+
+def test_parse_int_list_keeps_a_range_lazy():
+    assert cli._parse_int_list("1..4000000000") == range(1, 4000000001)

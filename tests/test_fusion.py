@@ -32,9 +32,9 @@ from layerfuse import (
 from layerfuse import fusion
 from layerfuse import tensor as tensor_module
 from layerfuse.cli import main
-from layerfuse.fusion import FusionSystem, eval_chunks, stored_values
+from layerfuse.fusion import FusionSystem, eval_chunks, stored_arrays, stored_values
 from layerfuse.gate import gate_forward
-from layerfuse.training import evaluate
+from layerfuse.training import evaluate, sentence_loss
 from tensor_helpers import tensor_sum
 
 RNG = np.random.default_rng(31)
@@ -263,6 +263,29 @@ class TestGatherWidening:
         system.fused_batch(generate_task(self.SPEC)[0], np.array([6, 0, 3, 11, 2]), training=True)
         assert len(copies) == 2
         assert alive == [[False, False]]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("mode", GATE_MODES)
+def test_gradcheck_forward_is_the_path_train_runs(variant, mode):
+    # gradcheck differentiates ``FusionSystem.forward``; train runs ``fused_batch``.
+    spec = SyntheticTaskSpec(train_sentences=10, test_sentences=4, channels=8, latent_dim=3,
+                             tokens=3, n_layers=3, invariance=(0.9, 0.5, 0.1), seed=5)
+    bank = generate_task(spec)[0]
+    rows = np.array([6, 0, 3, 11, 2])
+    systems = [build_system(1, 3, 8, variant, mode, 4) for _ in range(2)]
+    heads = [init_head(8, spec.num_classes, 4) for _ in range(2)]
+    fused = [systems[0].fused_batch(bank, rows, training=True),
+             systems[1].forward(Tensor(bank.layer(1)[rows]), Tensor(bank.layer(3)[rows]), training=True)[0]]
+    assert fused[0].data.tobytes() == fused[1].data.tobytes()
+    grads, stored = [], []
+    for system, head, out in zip(systems, heads, fused):
+        params = trainable(stored_values(system, head))
+        backward(sentence_loss(out, head, bank.labels[rows]), wrt=params.values())
+        grads.append({name: p.grad.tobytes() for name, p in params.items()})
+        stored.append({name: np.asarray(value).tobytes() for name, value in stored_arrays(system, head)})
+    assert grads[0] == grads[1]
+    assert stored[0] == stored[1]
 
 
 class TestEvalChunks:

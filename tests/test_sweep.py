@@ -1,6 +1,7 @@
 """Layer sweep protocol: structure, controls, and determinism."""
 
 import concurrent.futures
+import itertools
 import pickle
 from dataclasses import replace
 
@@ -136,6 +137,20 @@ def test_layer_out_of_range(banks):
         layer_sweep(source, target, [5], CFG)
     with pytest.raises(DataError):
         layer_sweep(source, target, [0], CFG)
+
+
+def test_layers_are_checked_as_they_are_read():
+    # A lazy 1, 2, 3, ... that fails once more than 1,000 layers are read: the
+    # first layer past the top is refused without collecting the rest.
+    source, target = generate_task(replace(SMALL, n_layers=3, invariance=(0.9, 0.5, 0.1)))
+
+    def layers():
+        for layer in itertools.count(1):
+            assert layer <= 1000, "layer_sweep read past the first bad layer"
+            yield layer
+
+    with pytest.raises(DataError, match=r"^sweep layer 4 outside 1\.\.3$"):
+        layer_sweep(source, target, layers(), CFG)
 
 
 def test_mismatched_banks_rejected(banks):
